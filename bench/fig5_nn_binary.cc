@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/flags.h"
@@ -95,7 +96,8 @@ int Main(int argc, char** argv) {
     // artifact): same M/S/F runs under both --kernels backends, with the
     // per-phase wall timings in the JSON rows. The strip-path speedup
     // lives in the first_layer_fwd and w1_grad phases — the batch matrix
-    // products --kernels=simd routes through gemm_strip.
+    // products --kernels=simd routes through gemm_strip — and in
+    // upper_layers, the strip-native hidden/output layers.
     std::printf("\n-- kernel plane: --kernels=scalar vs simd "
                 "(rr=100, dR=15, nh=50) --\n");
     auto rel = Generate(dir.str(), 100 * n_r, n_r, d_s, 15, &pool);
@@ -109,13 +111,14 @@ int Main(int argc, char** argv) {
       EmitTrioRow(&json, "fig5_kernels", simd == 1 ? "simd" : "scalar",
                   trios[simd]);
     }
-    // Forward/backward strip-path speedup per strategy: the sum of the
-    // two gemm-shaped phases under scalar over the same sum under simd.
-    const auto phase_sum = [](const core::TrainReport& r) {
+    // Strip-path speedups per strategy, scalar phase seconds over simd:
+    // the two first-layer gemm phases, then the upper layers.
+    const auto phase_sum = [](const core::TrainReport& r,
+                              const std::vector<std::string>& names) {
       double s = 0.0;
       for (const auto& p : r.phases) {
-        if (p.name == "first_layer_fwd" || p.name == "w1_grad") {
-          s += p.seconds;
+        for (const auto& name : names) {
+          if (p.name == name) s += p.seconds;
         }
       }
       return s;
@@ -124,12 +127,19 @@ int Main(int argc, char** argv) {
                                                  &trios[0].f};
     const core::TrainReport* simd_reports[] = {&trios[1].m, &trios[1].s,
                                                &trios[1].f};
-    std::printf("\nfwd+bwd strip speedup (%s):", la::SimdBackendName());
-    for (int i = 0; i < 3; ++i) {
-      const double sc = phase_sum(*scalar_reports[i]);
-      const double si = phase_sum(*simd_reports[i]);
-      std::printf(" %s=%.2fx", scalar_reports[i]->algorithm.c_str(),
-                  si > 0 ? sc / si : 0.0);
+    const struct {
+      const char* label;
+      std::vector<std::string> phases;
+    } groups[] = {{"fwd+bwd strip", {"first_layer_fwd", "w1_grad"}},
+                  {"upper_layers", {"upper_layers"}}};
+    for (const auto& g : groups) {
+      std::printf("\n%s speedup (%s):", g.label, la::SimdBackendName());
+      for (int i = 0; i < 3; ++i) {
+        const double sc = phase_sum(*scalar_reports[i], g.phases);
+        const double si = phase_sum(*simd_reports[i], g.phases);
+        std::printf(" %s=%.2fx", scalar_reports[i]->algorithm.c_str(),
+                    si > 0 ? sc / si : 0.0);
+      }
     }
     std::printf("\n");
   }

@@ -253,6 +253,7 @@ struct StripData {
     for (double& x : center) x = rng.NextGaussian();
     for (double& x : w1) x = rng.NextGaussian();
     for (double& x : base) x = rng.NextGaussian();
+    for (double& x : ct) x = rng.NextGaussian();
     for (size_t j = 0; j < d; ++j) cols[j] = data.data() + j * rows;
     // FK1-run-shaped rid column: short contiguous runs, like the group
     // batches join::ChunkFk1Runs delivers.
@@ -409,6 +410,23 @@ void BM_ScatterAddStrip(benchmark::State& state) {
 }
 BENCHMARK(BM_ScatterAddStrip)->ArgsProduct({{8}, {0, 1}});
 
+void BM_ActivationStrip(benchmark::State& state) {
+  // The NN upper layers' element-wise activation over one strip's
+  // nh x rows activation block; arg 0 = la::ActKind (0 sigmoid, 1 tanh).
+  StripData s(8, kStripRows, 30);
+  const auto kind = static_cast<la::ActKind>(state.range(0));
+  la::SelectKernels(ModeOf(state));
+  const la::Kernels& k = la::Active();
+  for (auto _ : state) {
+    k.activation(kind, s.ct.data(), s.gout.data(), kNh * kStripRows);
+    benchmark::DoNotOptimize(s.gout.data());
+  }
+  la::SelectKernels(la::KernelMode::kScalar);
+  state.SetItemsProcessed(state.iterations() * kStripRows * kNh);
+  LabelBackend(state);
+}
+BENCHMARK(BM_ActivationStrip)->ArgsProduct({{0, 1}, {0, 1}});
+
 }  // namespace
 
 // ---------------------------------------------------------------------
@@ -492,6 +510,14 @@ void WriteKernelRoofline(const std::string& path) {
             const la::Matrix&, std::vector<double>&, size_t) {
            k.gather_add_rows_strip(s.base.data(), kNh, s.idx.data(), kRows,
                                    kNh, s.gout.data(), kNh);
+         }},
+        // One sigmoid per element of an nh x rows activation block: the
+        // "gflops" of this row are billions of activations per second.
+        {"activation", kRows * kNh, 2 * kRows * kNh * 8,
+         [](const la::Kernels& k, StripData& s, std::vector<double>&,
+            const la::Matrix&, std::vector<double>&, size_t) {
+           k.activation(la::ActKind::kSigmoid, s.ct.data(), s.gout.data(),
+                        kRows * kNh);
          }},
         {"scatter_add_strip", kRows,
          (kRows * 8 + kRows * 8 + 2 * kRows * 8),

@@ -89,6 +89,7 @@ class FactorizedStrategy final : public JoinStreamStrategyBase {
         // Strip-fed epoch plane: the S slice as strips, same transpose as
         // RunPass (short mini-batches pack into one partial strip).
         const storage::RowBatch& s = batch.s_rows;
+        PhaseScope phase(ctx->report, "pack");
         PackRowsToStrips(s.feats.data(), s.feats.cols(), /*y=*/nullptr, 0,
                          s.num_rows, s.feats.cols(), s.start_row,
                          kDefaultStripRows, &s_strips);

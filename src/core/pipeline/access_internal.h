@@ -263,14 +263,7 @@ inline void PackRowsToStrips(const double* x, size_t x_stride,
                              size_t num_rows, size_t d, int64_t start_row,
                              size_t strip_rows, storage::ColumnStrips* out) {
   const size_t y_off = y != nullptr ? 1 : 0;
-  out->strip_rows = strip_rows;
-  out->num_strips = (num_rows + strip_rows - 1) / strip_rows;
-  out->num_rows = num_rows;
-  out->num_cols = d + y_off;
-  out->num_keys = 0;
-  out->start_row = start_row;
-  out->keys.clear();
-  out->data.resize(out->num_strips * out->num_cols * strip_rows);
+  out->Shape(strip_rows, num_rows, d + y_off, /*key_cols=*/0, start_row);
   for (size_t r = 0; r < num_rows; ++r) {
     double* strip0 = out->data.data() +
                      (r / strip_rows) * out->num_cols * strip_rows +
@@ -279,6 +272,22 @@ inline void PackRowsToStrips(const double* x, size_t x_stride,
     const double* row = x + r * x_stride;
     for (size_t j = 0; j < d; ++j) {
       strip0[(y_off + j) * strip_rows] = row[j];
+    }
+  }
+}
+
+/// The inverse of PackRowsToStrips without a target column: writes the
+/// strips' rows back row-major into `x` (num_rows x num_cols, dense).
+inline void UnpackStripsToRows(const storage::ColumnStrips& in, double* x) {
+  const size_t cols = in.num_cols;
+  for (size_t s = 0; s < in.num_strips; ++s) {
+    const size_t rows = in.RowsInStrip(s);
+    double* dst = x + in.StripStart(s) * cols;
+    for (size_t r = 0; r < rows; ++r) {
+      const double* src = in.Col(s, 0) + r;
+      for (size_t j = 0; j < cols; ++j) {
+        dst[r * cols + j] = src[j * in.strip_rows];
+      }
     }
   }
 }

@@ -150,6 +150,7 @@ class MaterializedStrategy final : public StrategyBase {
         // Strip-fed epoch plane: transpose the assembled batch (same page
         // walk and IoStats as the row path — the strips are packed from
         // the rows just read, including batches shorter than one strip).
+        PhaseScope phase(ctx->report, "pack");
         PackRowsToStrips(x.data(), d, nullptr, 0, b, d, 0, kDefaultStripRows,
                          &strips);
         dense.strips = &strips;

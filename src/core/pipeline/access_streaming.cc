@@ -131,6 +131,7 @@ class StreamingStrategy final : public JoinStreamStrategyBase {
         // Strip-fed epoch plane: pack the assembled batch into strips
         // (short batches included — the pack handles any row count), so
         // the model's epoch math runs as batch matrix products.
+        PhaseScope phase(ctx->report, "pack");
         PackRowsToStrips(x.data(), d, nullptr, 0, b, d, 0, kDefaultStripRows,
                          &strips);
         dense.strips = &strips;

@@ -1,6 +1,7 @@
 #include "la/kernels.h"
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string_view>
@@ -164,6 +165,26 @@ void ScalarScatterAddStrip(const int64_t* idx, const double* w, size_t rows,
   }
 }
 
+void ScalarActivation(ActKind kind, const double* a, double* h, size_t n) {
+  switch (kind) {
+    case ActKind::kSigmoid:
+      for (size_t i = 0; i < n; ++i) h[i] = 1.0 / (1.0 + std::exp(-a[i]));
+      break;
+    case ActKind::kTanh:
+      for (size_t i = 0; i < n; ++i) h[i] = std::tanh(a[i]);
+      break;
+    case ActKind::kRelu:
+      for (size_t i = 0; i < n; ++i) h[i] = a[i] > 0.0 ? a[i] : 0.0;
+      break;
+    case ActKind::kIdentity:
+      for (size_t i = 0; i < n; ++i) h[i] = a[i];
+      break;
+    case ActKind::kExp:
+      for (size_t i = 0; i < n; ++i) h[i] = std::exp(a[i]);
+      break;
+  }
+}
+
 constexpr Kernels kScalarKernels = {
     "scalar",          false,
     ScalarDot,         ScalarAxpy,       ScalarGemv,
@@ -172,6 +193,7 @@ constexpr Kernels kScalarKernels = {
     ScalarDistStrip,   ScalarQuadFormStrip,
     ScalarGemmStrip,   ScalarGatherAddRowsStrip,
     ScalarGatherAddStrip, ScalarScatterAddStrip,
+    ScalarActivation,
 };
 
 // ------------------------------------------------------- vector backends
@@ -179,12 +201,40 @@ constexpr Kernels kScalarKernels = {
 typedef double fml_v4d __attribute__((vector_size(32)));
 typedef double fml_v4d_u
     __attribute__((vector_size(32), aligned(8), __may_alias__));
+// Lane-matched integer views for comparison masks and exponent-bit
+// arithmetic (a cast between equal-size vector types reinterprets bits).
+typedef int64_t fml_v4i __attribute__((vector_size(32)));
+typedef uint64_t fml_v4u __attribute__((vector_size(32)));
+
+// Constants of the vector exp / tanh (kernels_vec.inc). ln2 is split
+// fdlibm-style: kLn2Hi has its low 32 bits clear, so k * kLn2Hi is exact
+// for every |k| the clamped exp range produces.
+constexpr double kLog2e = 1.44269504088896338700e+00;
+constexpr double kLn2Hi = 6.93147180369123816490e-01;
+constexpr double kLn2Lo = 1.90821492927058770002e-10;
+// 1/2!, 1/3!, ..., 1/13!: e^r = 1 + r + r^2 q(r), q(r) = sum_i r^i/(i+2)!.
+constexpr double kExpTaylor[] = {
+    1.0 / 2.0,         1.0 / 6.0,          1.0 / 24.0,
+    1.0 / 120.0,       1.0 / 720.0,        1.0 / 5040.0,
+    1.0 / 40320.0,     1.0 / 362880.0,     1.0 / 3628800.0,
+    1.0 / 39916800.0,  1.0 / 479001600.0,  1.0 / 6227020800.0,
+};
+// Cephes tanh rational coefficients for |x| < 0.625: P(z) and the monic
+// Q(z) without its leading 1.
+constexpr double kTanhP[] = {-9.64399179425052238628e-1,
+                             -9.92877231001918586564e1,
+                             -1.61468768441708447952e3};
+constexpr double kTanhQ[] = {1.12811678491632931402e2,
+                             2.23548839060100448583e3,
+                             4.84406305325125486048e3};
 
 // The baseline instantiation passes 32-byte vectors between static
 // (fully-internal) helpers; GCC's ABI note about that is irrelevant here.
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic ignored "-Wpsabi"
 #endif
+
+#define FML_VEC_INLINE inline __attribute__((always_inline))
 
 // Baseline-ISA instantiation (SSE2 on x86-64, NEON on aarch64 — the
 // compiler splits the 32-byte lanes to whatever the target offers).
@@ -202,6 +252,7 @@ constexpr Kernels kPortableKernels = {
     PortableDistStrip,   PortableQuadFormStrip,
     PortableGemmStrip,   PortableGatherAddRowsStrip,
     PortableGatherAddStrip, PortableScatterAddStrip,
+    PortableActivation,
 };
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -222,6 +273,7 @@ constexpr Kernels kAvx2Kernels = {
     Avx2DistStrip,   Avx2QuadFormStrip,
     Avx2GemmStrip,   Avx2GatherAddRowsStrip,
     Avx2GatherAddStrip, Avx2ScatterAddStrip,
+    Avx2Activation,
 };
 
 bool CpuHasAvx2Fma() {
@@ -270,6 +322,8 @@ void SelectKernels(KernelMode mode) {
       obs::Registry::Instance().GetGauge("kernels.dispatch");
   dispatch->Set(!k.simd ? 0.0 : (k.name[0] == 'a' ? 2.0 : 1.0));
 }
+
+const Kernels& ScalarKernels() { return kScalarKernels; }
 
 const Kernels& Active() {
   return *g_active.load(std::memory_order_acquire);

@@ -7,6 +7,17 @@
 
 namespace factorml::la {
 
+/// Element-wise functions of the `activation` kernel: the NN hidden-layer
+/// activations (values match nn::Activation) plus the bare exponential
+/// they are built on, exposed so its accuracy can be pinned on its own.
+enum class ActKind {
+  kSigmoid = 0,  // 1 / (1 + e^-x)
+  kTanh = 1,
+  kRelu = 2,
+  kIdentity = 3,
+  kExp = 4,
+};
+
 /// Runtime-dispatched compute kernel plane behind `--kernels={scalar,simd}`.
 ///
 /// Every function pointer in `Kernels` is a *raw* kernel: it performs the
@@ -110,6 +121,15 @@ struct Kernels {
   // scatter-add (GMM's per-rid responsibility mass, k-means' group mass).
   void (*scatter_add_strip)(const int64_t* idx, const double* w, size_t rows,
                             double* acc);
+
+  // ---------------------------------------------- element-wise kernel
+  // h[i] = f(a[i]) for i in [0, n); `a == h` is allowed. The scalar
+  // backend runs the libm loops (std::exp / std::tanh); the vector
+  // backends evaluate exp with a range-reduced polynomial that stays
+  // within 2 ulp of std::exp, overflows to +inf and underflows to 0 where
+  // std::exp does, and propagates NaN. ReLU and identity are exact in
+  // every backend.
+  void (*activation)(ActKind kind, const double* a, double* h, size_t n);
 };
 
 /// Kernel backend selection mode, resolved from --kernels.
@@ -129,6 +149,10 @@ enum class KernelMode {
 /// hosts. kScalar ignores the override: the bit-identity goldens must hold
 /// whatever the environment says. An unrecognized value exits with code 2.
 void SelectKernels(KernelMode mode);
+
+/// The scalar table itself, whatever is active — the reference the
+/// row-major NN path (nn::ApplyActivation) evaluates through.
+const Kernels& ScalarKernels();
 
 /// The active kernel table (scalar until SelectKernels says otherwise).
 /// Safe to call concurrently from workers; selection happens before

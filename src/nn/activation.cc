@@ -1,7 +1,5 @@
 #include "nn/activation.h"
 
-#include <cmath>
-
 #include "common/opcount.h"
 
 namespace factorml::nn {
@@ -22,29 +20,22 @@ const char* ActivationName(Activation a) {
 
 bool IsAdditive(Activation a) { return a == Activation::kIdentity; }
 
+static_assert(static_cast<int>(la::ActKind::kSigmoid) ==
+              static_cast<int>(Activation::kSigmoid));
+static_assert(static_cast<int>(la::ActKind::kTanh) ==
+              static_cast<int>(Activation::kTanh));
+static_assert(static_cast<int>(la::ActKind::kRelu) ==
+              static_cast<int>(Activation::kRelu));
+static_assert(static_cast<int>(la::ActKind::kIdentity) ==
+              static_cast<int>(Activation::kIdentity));
+
 void ApplyActivation(Activation act, const la::Matrix& a, la::Matrix* h) {
   if (h->rows() != a.rows() || h->cols() != a.cols()) {
     h->Resize(a.rows(), a.cols());
   }
-  const size_t n = a.size();
-  const double* src = a.data();
-  double* dst = h->data();
-  switch (act) {
-    case Activation::kSigmoid:
-      for (size_t i = 0; i < n; ++i) dst[i] = 1.0 / (1.0 + std::exp(-src[i]));
-      CountExps(n);
-      break;
-    case Activation::kTanh:
-      for (size_t i = 0; i < n; ++i) dst[i] = std::tanh(src[i]);
-      CountExps(n);
-      break;
-    case Activation::kRelu:
-      for (size_t i = 0; i < n; ++i) dst[i] = src[i] > 0.0 ? src[i] : 0.0;
-      break;
-    case Activation::kIdentity:
-      for (size_t i = 0; i < n; ++i) dst[i] = src[i];
-      break;
-  }
+  la::ScalarKernels().activation(KernelActivation(act), a.data(), h->data(),
+                                 a.size());
+  if (IsTranscendental(act)) CountExps(a.size());
 }
 
 void ActivationGrad(Activation act, const la::Matrix& a, const la::Matrix& h,
@@ -52,26 +43,28 @@ void ActivationGrad(Activation act, const la::Matrix& a, const la::Matrix& h,
   if (g->rows() != a.rows() || g->cols() != a.cols()) {
     g->Resize(a.rows(), a.cols());
   }
-  const size_t n = a.size();
-  const double* pre = a.data();
-  const double* out = h.data();
-  double* dst = g->data();
+  // 1 * f' is f' exactly, so this is the fused form's own arithmetic.
+  g->Fill(1.0);
+  MulActivationGrad(act, a.data(), h.data(), g->data(), a.size());
+  if (IsTranscendental(act)) {
+    CountMults(a.size());
+    CountSubs(a.size());
+  }
+}
+
+void MulActivationGrad(Activation act, const double* a, const double* h,
+                       double* d, size_t n) {
   switch (act) {
     case Activation::kSigmoid:
-      for (size_t i = 0; i < n; ++i) dst[i] = out[i] * (1.0 - out[i]);
-      CountMults(n);
-      CountSubs(n);
+      for (size_t i = 0; i < n; ++i) d[i] *= h[i] * (1.0 - h[i]);
       break;
     case Activation::kTanh:
-      for (size_t i = 0; i < n; ++i) dst[i] = 1.0 - out[i] * out[i];
-      CountMults(n);
-      CountSubs(n);
+      for (size_t i = 0; i < n; ++i) d[i] *= 1.0 - h[i] * h[i];
       break;
     case Activation::kRelu:
-      for (size_t i = 0; i < n; ++i) dst[i] = pre[i] > 0.0 ? 1.0 : 0.0;
+      for (size_t i = 0; i < n; ++i) d[i] *= a[i] > 0.0 ? 1.0 : 0.0;
       break;
     case Activation::kIdentity:
-      for (size_t i = 0; i < n; ++i) dst[i] = 1.0;
       break;
   }
 }

@@ -8,8 +8,11 @@
 // s_nn.cc / f_nn.cc trainers are thin wrappers over this one program.
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/opcount.h"
@@ -30,6 +33,13 @@ namespace {
 using core::pipeline::DenseBatch;
 using core::pipeline::FactorizedBlock;
 using core::pipeline::PipelineContext;
+
+/// `v` in its shortest %g spelling ("1", "-0.1", "inf") for messages.
+std::string Shortest(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%g", v);
+  return buf;
+}
 
 /// Per-attribute-table cache of first-layer partial inner products:
 /// row rid holds W1[:, slice_i] * x_ri (plus the layer bias for table 0,
@@ -55,9 +65,45 @@ class NnProgram final : public core::pipeline::ModelProgram {
   }
   int MaxIterations() const override { return opt_.epochs; }
 
+  /// Rejects hyperparameters the engine cannot train with, before any
+  /// cursor or engine exists. Each message names the NnOptions field and
+  /// its CLI flag.
   Status ValidateOptions(const join::NormalizedRelations&) const override {
     if (opt_.hidden.empty()) {
       return Status::InvalidArgument("at least one hidden layer required");
+    }
+    for (const size_t width : opt_.hidden) {
+      if (width == 0) {
+        return Status::InvalidArgument("NN: hidden widths (--nh) must be >= 1");
+      }
+    }
+    if (opt_.epochs < 0) {
+      return Status::InvalidArgument(
+          "NN: epochs (--epochs) must be >= 0, got " +
+          std::to_string(opt_.epochs));
+    }
+    if (opt_.batch_rows == 0) {
+      return Status::InvalidArgument("NN: batch_rows (--batch) must be >= 1");
+    }
+    if (!(opt_.learning_rate > 0.0) || !std::isfinite(opt_.learning_rate)) {
+      return Status::InvalidArgument(
+          "NN: learning_rate (--lr) must be finite and > 0, got " +
+          Shortest(opt_.learning_rate));
+    }
+    if (!(opt_.hidden_dropout >= 0.0 && opt_.hidden_dropout < 1.0)) {
+      return Status::InvalidArgument(
+          "NN: hidden_dropout (--dropout) must be in [0, 1), got " +
+          Shortest(opt_.hidden_dropout));
+    }
+    if (!(opt_.momentum >= 0.0 && opt_.momentum < 1.0)) {
+      return Status::InvalidArgument(
+          "NN: momentum (--momentum) must be in [0, 1), got " +
+          Shortest(opt_.momentum));
+    }
+    if (!(opt_.weight_decay >= 0.0) || !std::isfinite(opt_.weight_decay)) {
+      return Status::InvalidArgument(
+          "NN: weight_decay (--weight_decay) must be finite and >= 0, got " +
+          Shortest(opt_.weight_decay));
     }
     return Status::OK();
   }
@@ -155,13 +201,15 @@ class NnProgram final : public core::pipeline::ModelProgram {
     return Status::OK();
   }
 
-  /// Strip-fed epoch step (--kernels=simd): forward and backward run as
-  /// batch matrix products (`gemm_strip`) over the driver-packed column
-  /// strips instead of per-row gemv/outer loops. Op counts are charged
-  /// with the exact scalar formulas per strip, and every strip/morsel
-  /// boundary is schedule-determined, so iterations, op counters, and
-  /// page I/O stay EXPECT_EQ-identical to the scalar path — only the
-  /// within-strip summation order (hence numerics, to tolerance) differs.
+  /// Strip-fed epoch step (--kernels=simd): the whole batch stays in
+  /// strip layout from the first-layer `gemm_strip` output through the
+  /// upper layers (BackpropEngine::StepStrips) to the W1 gradient — no
+  /// row-major activation or delta block exists on this path. Op counts
+  /// are charged with the exact scalar formulas per strip, and every
+  /// strip/morsel boundary is schedule-determined, so iterations, op
+  /// counters, and page I/O stay EXPECT_EQ-identical to the scalar path —
+  /// only the within-strip summation order and the vector exp (hence
+  /// numerics, to tolerance) differ.
   Status OnDenseBatchStrips(const PipelineContext& ctx,
                             const DenseBatch& batch) {
     const storage::ColumnStrips& st = *batch.strips;
@@ -169,32 +217,28 @@ class NnProgram final : public core::pipeline::ModelProgram {
     const int threads = ctx.threads;
     const la::Kernels& kern = la::Active();
 
-    // First-layer forward, one strip at a time: a1t (nh x rows) = W1 * B
-    // where B is the strip's feature block (d x rows, ldb = strip height).
-    // The transpose back to the row-major activation block carries the
-    // bias add (the AddRowVectorRows charge); strips are disjoint row
-    // blocks, so any strip partition is deterministic.
-    a1_.Reshape(b, nh_);
+    // First-layer forward, one strip at a time, straight into the
+    // activation strips: a1 (nh x rows) = W1 * B + b1, where B is the
+    // strip's feature block (d x rows, ldb = strip height). Strips are
+    // disjoint row blocks, so any strip partition is deterministic.
+    a1s_.Shape(st.strip_rows, b, nh_, /*key_cols=*/0, st.start_row);
     {
       core::PhaseScope phase(ctx.report, "first_layer_fwd");
       exec::ParallelFor(
           threads, static_cast<int64_t>(st.num_strips), /*align=*/1,
           [&](exec::Range rg, int) {
-            std::vector<double> a1t(nh_ * st.strip_rows);
             for (int64_t s = rg.begin; s < rg.end; ++s) {
               const auto sp = static_cast<size_t>(s);
               const size_t rows = st.RowsInStrip(sp);
+              double* a1 = a1s_.MutableCol(sp, 0);
               kern.gemm_strip(mlp_.w[0].data(), d_, st.Col(sp, 0),
-                              st.strip_rows, nh_, rows, d_, a1t.data(),
+                              st.strip_rows, nh_, rows, d_, a1,
                               st.strip_rows, /*trans_b=*/false,
                               /*accumulate=*/false);
-              double* a1_base = a1_.Row(st.StripStart(sp)).data();
               for (size_t u = 0; u < nh_; ++u) {
                 const double bu = mlp_.b[0][u];
-                const double* tu = a1t.data() + u * st.strip_rows;
-                for (size_t r = 0; r < rows; ++r) {
-                  a1_base[r * nh_ + u] = tu[r] + bu;
-                }
+                double* au = a1 + u * st.strip_rows;
+                for (size_t r = 0; r < rows; ++r) au[r] += bu;
               }
               CountMults(rows * nh_ * d_);
               CountAdds(rows * nh_ * d_ + rows * nh_);
@@ -203,7 +247,7 @@ class NnProgram final : public core::pipeline::ModelProgram {
     }
     {
       core::PhaseScope phase(ctx.report, "upper_layers");
-      epoch_sse_ += engine_->Step(a1_, batch.y->data(), &delta1_);
+      epoch_sse_ += engine_->StepStrips(a1s_, batch.y->data(), threads, &d1s_);
     }
 
     // W1 gradient over column morsels, strips ascending inside each
@@ -211,9 +255,6 @@ class NnProgram final : public core::pipeline::ModelProgram {
     // dot-form gemm over two strip blocks of the same height. The strip
     // order is fixed, so the gradient is bit-identical for any thread
     // count (and within-morsel numerics match the serial strip sweep).
-    core::pipeline::internal::PackRowsToStrips(
-        delta1_.data(), nh_, /*y=*/nullptr, 0, b, nh_, st.start_row,
-        st.strip_rows, &d1s_);
     grad0_.SetZero();
     {
       core::PhaseScope phase(ctx.report, "w1_grad");
@@ -337,41 +378,43 @@ class NnProgram final : public core::pipeline::ModelProgram {
     // ---- Factorized forward, first layer (Sec. VI-A1 / Eq. 31):
     // A1 = XS * W_S^T  +  sum_i cache_i(rid_i), row-parallel over the
     // batch (each a1 row reads only its own xs row and cached partials).
-    a1_.Reshape(b, nh_);
     if (st != nullptr) {
       // Strip path: the XS product is one gemm_strip per strip (W_S is
-      // the leading ds-column slice of W1), transposed back row-major;
-      // the per-table cached partials land via gather_add_rows_strip
-      // over the rid buffers (no bias here — table 0's cache carries it).
+      // the leading ds-column slice of W1) straight into the activation
+      // strips; the per-table cached partials are gathered by rid into
+      // each unit's contiguous run (no bias here — table 0's cache
+      // carries it).
       core::PhaseScope phase(ctx.report, "first_layer_fwd");
       const la::Kernels& kern = la::Active();
+      a1s_.Shape(st->strip_rows, b, nh_, /*key_cols=*/0, st->start_row);
       exec::ParallelFor(
           threads, static_cast<int64_t>(st->num_strips), /*align=*/1,
           [&](exec::Range rg, int) {
-            std::vector<double> a1t(nh_ * st->strip_rows);
             for (int64_t s = rg.begin; s < rg.end; ++s) {
               const auto sp = static_cast<size_t>(s);
               const size_t rows = st->RowsInStrip(sp);
               const size_t row0 = st->StripStart(sp);
+              double* a1 = a1s_.MutableCol(sp, 0);
               kern.gemm_strip(mlp_.w[0].data(), d_, st->Col(sp, 1),
-                              st->strip_rows, nh_, rows, ds_, a1t.data(),
+                              st->strip_rows, nh_, rows, ds_, a1,
                               st->strip_rows, /*trans_b=*/false,
                               /*accumulate=*/false);
-              double* a1_base = a1_.Row(row0).data();
-              for (size_t u = 0; u < nh_; ++u) {
-                const double* tu = a1t.data() + u * st->strip_rows;
-                for (size_t r = 0; r < rows; ++r) a1_base[r * nh_ + u] = tu[r];
-              }
               for (size_t i = 0; i < q_; ++i) {
-                kern.gather_add_rows_strip(caches_[i].c.data(), nh_,
-                                           ridbuf_[i].data() + row0, rows,
-                                           nh_, a1_base, nh_);
+                const double* c = caches_[i].c.data();
+                const int64_t* rid = ridbuf_[i].data() + row0;
+                for (size_t u = 0; u < nh_; ++u) {
+                  double* au = a1 + u * st->strip_rows;
+                  for (size_t r = 0; r < rows; ++r) {
+                    au[r] += c[static_cast<size_t>(rid[r]) * nh_ + u];
+                  }
+                }
               }
               CountMults(rows * nh_ * ds_);
               CountAdds(rows * nh_ * ds_ + rows * nh_ * q_);
             }
           });
     } else {
+      a1_.Reshape(b, nh_);
       core::PhaseScope phase(ctx.report, "first_layer_fwd");
       exec::ParallelFor(
           threads, static_cast<int64_t>(b), /*align=*/1,
@@ -396,7 +439,16 @@ class NnProgram final : public core::pipeline::ModelProgram {
 
     {
       core::PhaseScope phase(ctx.report, "upper_layers");
-      epoch_sse_ += engine_->Step(a1_, y_.data(), &delta1_);
+      epoch_sse_ += st != nullptr
+                        ? engine_->StepStrips(a1s_, y_.data(), threads, &d1s_)
+                        : engine_->Step(a1_, y_.data(), &delta1_);
+    }
+    if (st != nullptr) {
+      // The PG_R sweep below (and the grouped R1 sums) read delta1 a row
+      // at a time: the one transpose the factorized strip path keeps.
+      core::PhaseScope phase(ctx.report, "pack");
+      delta1_.Reshape(b, nh_);
+      core::pipeline::internal::UnpackStripsToRows(d1s_, delta1_.data());
     }
 
     // ---- Factorized backward (Sec. VI-A3 / Eq. 32): the W1 gradient
@@ -418,13 +470,6 @@ class NnProgram final : public core::pipeline::ModelProgram {
           la::Axpy(1.0, delta1_.Row(r).data(), dsum, nh_);
         }
       }
-    }
-    if (st != nullptr) {
-      // Delta strips aligned to the S strips (same height), so the PG_S
-      // block below runs as dot-form gemm over paired strip blocks.
-      core::pipeline::internal::PackRowsToStrips(
-          delta1_.data(), nh_, /*y=*/nullptr, 0, b, nh_, st->start_row,
-          st->strip_rows, &d1s_);
     }
     grad0_.SetZero();
     {
@@ -504,7 +549,13 @@ class NnProgram final : public core::pipeline::ModelProgram {
     return Status::OK();
   }
 
-  Result<bool> EndIteration(const PipelineContext&, int) override {
+  Result<bool> EndIteration(const PipelineContext&, int epoch) override {
+    if (!std::isfinite(epoch_sse_)) {
+      return Status::OutOfRange(
+          "NN: objective is not finite after epoch " +
+          std::to_string(epoch + 1) + " of " + std::to_string(opt_.epochs) +
+          " (SGD diverged; lower --lr)");
+    }
     return false;  // NN always runs the full epoch budget
   }
 
@@ -550,12 +601,13 @@ class NnProgram final : public core::pipeline::ModelProgram {
   Mlp mlp_;
   std::unique_ptr<internal::BackpropEngine> engine_;
   la::Matrix xs_;      // batch x dS (factorized: never widened to d)
-  la::Matrix a1_;      // batch x nh
-  la::Matrix delta1_;  // batch x nh
+  la::Matrix a1_;      // batch x nh (row path)
+  la::Matrix delta1_;  // batch x nh (row path; F's PG_R sweep)
   la::Matrix grad0_;
   std::vector<double> y_;
   std::vector<double> dsums_;  // grouped-backward scratch, n_groups x nh
-  storage::ColumnStrips d1s_;  // delta1_ packed as strips (strip backward)
+  storage::ColumnStrips a1s_;  // first-layer pre-activations (strip path)
+  storage::ColumnStrips d1s_;  // dE/dA1 as strips (strip path)
   std::vector<std::vector<int64_t>> ridbuf_;  // per-table rids, strip path
   std::vector<PartialCache> caches_;
   std::vector<std::vector<int64_t>> stale_;  // rids to refill per batch

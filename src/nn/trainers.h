@@ -72,12 +72,12 @@ struct NnOptions {
   /// shards > 1 is rejected with InvalidArgument for this family.
   int shards = 1;
   /// Compute-kernel backend (--kernels): kScalar (default) keeps the
-  /// seed's bit-identical loops; kSimd routes the la/ primitives (Gemv,
-  /// Dot, AddOuter behind the BP math) through the runtime-dispatched
-  /// vector backend. The mini-batch plane has no strip decode — batches
-  /// are already dense matrices — so only the summation order inside the
-  /// primitives moves; op counts are identical, losses agree to
-  /// floating-point reassociation tolerance.
+  /// seed's bit-identical loops; kSimd feeds every batch as column strips
+  /// and runs the whole epoch step in strip layout through the
+  /// runtime-dispatched vector backend (gemm_strip, the vector
+  /// activations). Op counts and page I/O are identical; losses agree to
+  /// tolerance (summation order and the last ulps of the vector exp), and
+  /// are bit-identical across thread counts.
   la::KernelMode kernels = la::KernelMode::kScalar;
   /// Shard execution backend knobs (--shard-backend et al., see
   /// StrategyOptions). Present for option-lifting uniformity only: the

@@ -163,14 +163,7 @@ Status PageCursor::ReadStrips(int64_t start_row, size_t count,
   const size_t row_bytes = schema.RowBytes();
   const size_t d = schema.num_feats;
 
-  out->strip_rows = strip_rows;
-  out->num_strips = (count + strip_rows - 1) / strip_rows;
-  out->num_rows = count;
-  out->num_cols = d;
-  out->num_keys = schema.num_keys;
-  out->start_row = start_row;
-  out->keys.resize(count * schema.num_keys);
-  out->data.resize(out->num_strips * d * strip_rows);
+  out->Shape(strip_rows, count, d, schema.num_keys, start_row);
 
   // The page walk below is ReadRows' exactly — same GetPage sequence, so
   // the pool sees an identical demand stream; only the decode destination

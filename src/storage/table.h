@@ -67,6 +67,21 @@ struct ColumnStrips {
   std::vector<int64_t> keys;  // num_rows * num_keys, row-major
   std::vector<double> data;   // num_strips * num_cols * strip_rows
 
+  /// Sets the geometry for `rows` rows of `cols` columns cut into strips
+  /// of `height` and sizes `keys` / `data` to match (contents are left to
+  /// the caller to fill).
+  void Shape(size_t height, size_t rows, size_t cols, size_t key_cols,
+             int64_t first_row) {
+    strip_rows = height;
+    num_strips = (rows + height - 1) / height;
+    num_rows = rows;
+    num_cols = cols;
+    num_keys = key_cols;
+    start_row = first_row;
+    keys.resize(rows * key_cols);
+    data.resize(num_strips * cols * height);
+  }
+
   const double* Col(size_t strip, size_t col) const {
     return data.data() + (strip * num_cols + col) * strip_rows;
   }

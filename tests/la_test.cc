@@ -1,6 +1,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -12,6 +14,7 @@
 #include "la/kernels.h"
 #include "la/matrix.h"
 #include "la/ops.h"
+#include "nn/activation.h"
 #include "test_util.h"
 
 namespace factorml::la {
@@ -696,6 +699,103 @@ TEST(KernelsTest, GatherScatterStripKernelsBitEqualOnEveryBackend) {
     for (size_t i = 0; i < base_rows; ++i) {
       ASSERT_EQ(acc[i], ref_acc_unit[i]);
     }
+  }
+}
+
+/// Distance in representable doubles between two finite-or-infinite
+/// values of the same sign class (0 when equal, -0 == +0).
+int64_t UlpDistance(double a, double b) {
+  const auto ordered = [](double x) {
+    int64_t i;
+    std::memcpy(&i, &x, sizeof(i));
+    return i < 0 ? std::numeric_limits<int64_t>::min() - i : i;
+  };
+  const int64_t d = ordered(a) - ordered(b);
+  return d < 0 ? -d : d;
+}
+
+TEST(KernelsTest, ActivationKernelAccuracyOnEveryBackend) {
+  // The sweep: |x| <= 800 (past both ends of exp's finite range), a fine
+  // grid around 0 where tanh switches form, the subnormal and overflow
+  // edges of exp, tiny magnitudes, and the signed zeros and infinities.
+  std::vector<double> x;
+  for (double v = -800.0; v <= 800.0; v += 0.0137) x.push_back(v);
+  for (double v = -2.0; v <= 2.0; v += 1.3e-4) x.push_back(v);
+  for (double v = -746.0; v <= -700.0; v += 1.1e-3) x.push_back(v);
+  for (double v = 700.0; v <= 710.0; v += 1.1e-4) x.push_back(v);
+  for (double v = 1e-300; v < 1.0; v *= 1.37) {
+    x.push_back(v);
+    x.push_back(-v);
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double v : {0.0, -0.0, inf, -inf, 709.782712893384,
+                         std::nextafter(709.782712893384, inf),
+                         -745.1332191019411, -745.1332191019412}) {
+    x.push_back(v);
+  }
+  const size_t n = x.size();  // not a multiple of 4: the tail path runs
+  std::vector<double> sigmoid_ref(n), tanh_ref(n), exp_ref(n);
+  for (size_t i = 0; i < n; ++i) {
+    sigmoid_ref[i] = 1.0 / (1.0 + std::exp(-x[i]));
+    tanh_ref[i] = std::tanh(x[i]);
+    exp_ref[i] = std::exp(x[i]);
+  }
+  const struct {
+    ActKind kind;
+    const std::vector<double>* ref;
+  } transcendental[] = {{ActKind::kSigmoid, &sigmoid_ref},
+                        {ActKind::kTanh, &tanh_ref},
+                        {ActKind::kExp, &exp_ref}};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const char* backend : {"scalar", "portable", "native"}) {
+    SCOPED_TRACE(backend);
+    ScopedBackendEnv env(backend);
+    ScopedKernels simd(KernelMode::kSimd);
+    const Kernels& kern = Active();
+    std::vector<double> h(n);
+    for (const auto& t : transcendental) {
+      SCOPED_TRACE(static_cast<int>(t.kind));
+      kern.activation(t.kind, x.data(), h.data(), n);
+      int64_t worst = 0;
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_FALSE(std::isnan(h[i])) << "x=" << x[i];
+        worst = std::max(worst, UlpDistance(h[i], (*t.ref)[i]));
+      }
+      // exp itself stays within 2 ulp; sigmoid and tanh are compared
+      // against their own double-rounded libm formulas.
+      EXPECT_LE(worst, 2);
+      if (!kern.simd) EXPECT_EQ(worst, 0);
+      // NaN in, NaN out, in a vector lane and in the tail.
+      const double nans[5] = {nan, 1.0, -nan, 0.5, nan};
+      double out[5];
+      kern.activation(t.kind, nans, out, 5);
+      EXPECT_TRUE(std::isnan(out[0]) && std::isnan(out[2]) &&
+                  std::isnan(out[4]));
+      EXPECT_FALSE(std::isnan(out[1]) || std::isnan(out[3]));
+    }
+    // ReLU and identity are exact everywhere (NaN -> 0 for ReLU, as the
+    // scalar loop's `a > 0 ? a : 0` has it).
+    kern.activation(ActKind::kRelu, x.data(), h.data(), n);
+    for (size_t i = 0; i < n; ++i) ASSERT_EQ(h[i], x[i] > 0.0 ? x[i] : 0.0);
+    kern.activation(ActKind::kIdentity, x.data(), h.data(), n);
+    EXPECT_EQ(0, std::memcmp(h.data(), x.data(), n * sizeof(double)));
+    const double relu_nan[1] = {nan};
+    double relu_out[1];
+    kern.activation(ActKind::kRelu, relu_nan, relu_out, 1);
+    EXPECT_EQ(relu_out[0], 0.0);
+  }
+  // The scalar table is the row-major NN reference, byte for byte.
+  Matrix a(1, n);
+  std::copy(x.begin(), x.end(), a.data());
+  for (const auto act : {nn::Activation::kSigmoid, nn::Activation::kTanh,
+                         nn::Activation::kRelu, nn::Activation::kIdentity}) {
+    Matrix ref;
+    nn::ApplyActivation(act, a, &ref);
+    std::vector<double> h(n);
+    ScalarKernels().activation(nn::KernelActivation(act), x.data(), h.data(),
+                               n);
+    EXPECT_EQ(0, std::memcmp(h.data(), ref.data(), n * sizeof(double)))
+        << nn::ActivationName(act);
   }
 }
 

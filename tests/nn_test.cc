@@ -1,11 +1,14 @@
 #include <cmath>
 #include <tuple>
 
+#include "common/opcount.h"
 #include "common/rng.h"
+#include "core/trainer.h"
 #include "data/synthetic.h"
 #include "gtest/gtest.h"
 #include "join/attribute_view.h"
 #include "join/materialize.h"
+#include "la/kernels.h"
 #include "la/ops.h"
 #include "nn/activation.h"
 #include "nn/backprop.h"
@@ -206,6 +209,81 @@ TEST(BackpropTest, UpdateMatchesNumericalGradient) {
     const double g = (loss(plus) - loss(minus)) / (2.0 * eps);
     const double applied = mlp.b[layer][0] - stepped.b[layer][0];
     EXPECT_NEAR(applied, lr * g, 1e-6) << "bias layer " << layer;
+  }
+}
+
+// ------------------------------------------- Strip-layout step (simd)
+
+/// Copies a row-major block into column strips of `height` rows.
+storage::ColumnStrips ToStrips(const Matrix& m, size_t height) {
+  storage::ColumnStrips st;
+  st.Shape(height, m.rows(), m.cols(), /*key_cols=*/0, /*first_row=*/0);
+  for (size_t r = 0; r < m.rows(); ++r) {
+    for (size_t j = 0; j < m.cols(); ++j) {
+      st.MutableCol(r / height, j)[r % height] = m(r, j);
+    }
+  }
+  return st;
+}
+
+TEST(BackpropTest, StripStepMatchesRowStep) {
+  // Two hidden layers, dropout, momentum and weight decay, and a batch
+  // that leaves a short last strip. StepStrips must charge Step's op
+  // counts exactly, draw the same dropout masks (same RNG stream), land
+  // within reassociation tolerance of Step's parameters and delta1, and
+  // give bit-identical results for any thread count.
+  const size_t d = 5, b = 300, height = 128;
+  for (const Activation act : {Activation::kSigmoid, Activation::kTanh,
+                               Activation::kRelu, Activation::kIdentity}) {
+    SCOPED_TRACE(ActivationName(act));
+    const Mlp base = Mlp::Init(d, {12, 6}, act, 4);
+    Rng rng(8);
+    Matrix a1(b, 12);
+    std::vector<double> y(b);
+    for (size_t i = 0; i < a1.size(); ++i) a1.data()[i] = rng.NextGaussian();
+    for (auto& v : y) v = rng.NextGaussian();
+    const storage::ColumnStrips a1s = ToStrips(a1, height);
+
+    Mlp row_net = base, strip_net = base, strip_net4 = base;
+    internal::BackpropEngine row(&row_net, 0.05), strip(&strip_net, 0.05),
+        strip4(&strip_net4, 0.05);
+    for (auto* e : {&row, &strip, &strip4}) {
+      e->EnableDropout(0.25, 99);
+      e->ConfigureSgd(0.9, 1e-3);
+    }
+    Matrix delta1;
+    storage::ColumnStrips d1s, d1s4;
+    // Two steps, so the second one runs on updated weights, velocities
+    // and a continued mask stream.
+    for (int step = 0; step < 2; ++step) {
+      la::SelectKernels(la::KernelMode::kScalar);
+      const OpCounters row_before = GlobalOps();
+      const double row_sse = row.Step(a1, y.data(), &delta1);
+      const OpCounters row_ops = GlobalOps() - row_before;
+
+      la::SelectKernels(la::KernelMode::kSimd);
+      const OpCounters strip_before = GlobalOps();
+      const double strip_sse = strip.StepStrips(a1s, y.data(), 1, &d1s);
+      const OpCounters strip_ops = GlobalOps() - strip_before;
+      const double strip4_sse = strip4.StepStrips(a1s, y.data(), 4, &d1s4);
+      la::SelectKernels(la::KernelMode::kScalar);
+
+      EXPECT_EQ(strip_ops.mults, row_ops.mults);
+      EXPECT_EQ(strip_ops.adds, row_ops.adds);
+      EXPECT_EQ(strip_ops.subs, row_ops.subs);
+      EXPECT_EQ(strip_ops.exps, row_ops.exps);
+      EXPECT_NEAR(strip_sse, row_sse, 1e-12 * row_sse);
+      EXPECT_LT(Mlp::MaxAbsDiffParams(strip_net, row_net), 1e-12);
+      for (size_t r = 0; r < b; ++r) {
+        for (size_t u = 0; u < 12; ++u) {
+          ASSERT_NEAR(d1s.Col(r / height, u)[r % height], delta1(r, u),
+                      1e-14);
+        }
+      }
+      EXPECT_EQ(strip4_sse, strip_sse);
+      EXPECT_EQ(Mlp::MaxAbsDiffParams(strip_net4, strip_net), 0.0);
+      EXPECT_EQ(d1s4.data, d1s.data);
+    }
   }
 }
 
@@ -516,6 +594,73 @@ TEST(NnTrainingTest, RequiresHiddenLayer) {
   NnOptions opt = SmallOptions(dir.str());
   opt.hidden.clear();
   EXPECT_FALSE(TrainNnFactorized(rel, opt, &pool, nullptr).ok());
+}
+
+TEST(NnTrainingTest, RejectsBadHyperparametersBeforeTraining) {
+  // Each bad value is an InvalidArgument naming the option, returned
+  // before any cursor or engine is built (these used to abort the
+  // process, or run silently).
+  TempDir dir;
+  BufferPool pool(256);
+  auto rel =
+      std::move(GenerateSynthetic(SmallSpec(dir.str()), &pool)).value();
+  const std::vector<std::pair<std::string, void (*)(NnOptions*)>> cases = {
+      {"--batch", [](NnOptions* o) { o->batch_rows = 0; }},
+      {"--dropout", [](NnOptions* o) { o->hidden_dropout = 1.0; }},
+      {"--dropout", [](NnOptions* o) { o->hidden_dropout = -0.1; }},
+      {"--momentum", [](NnOptions* o) { o->momentum = 1.0; }},
+      {"--momentum", [](NnOptions* o) { o->momentum = -0.5; }},
+      {"--weight_decay", [](NnOptions* o) { o->weight_decay = -1e-3; }},
+      {"--lr", [](NnOptions* o) { o->learning_rate = 0.0; }},
+      {"--lr", [](NnOptions* o) { o->learning_rate = -0.1; }},
+      {"--lr", [](NnOptions* o) { o->learning_rate = INFINITY; }},
+      {"--lr", [](NnOptions* o) { o->learning_rate = NAN; }},
+      {"--epochs", [](NnOptions* o) { o->epochs = -1; }},
+      {"--nh", [](NnOptions* o) { o->hidden = {0}; }},
+  };
+  for (const auto& [flag, mutate] : cases) {
+    NnOptions opt = SmallOptions(dir.str());
+    mutate(&opt);
+    for (const auto algo :
+         {core::Algorithm::kMaterialized, core::Algorithm::kStreaming,
+          core::Algorithm::kFactorized}) {
+      const auto r = core::TrainNn(rel, opt, algo, &pool, nullptr);
+      ASSERT_FALSE(r.ok()) << flag;
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << flag;
+      EXPECT_NE(r.status().message().find(flag), std::string::npos)
+          << r.status().ToString();
+    }
+  }
+  // The boundaries themselves are legal: no dropout/momentum/decay and a
+  // zero-epoch budget.
+  NnOptions opt = SmallOptions(dir.str());
+  opt.epochs = 0;
+  EXPECT_TRUE(TrainNnStreaming(rel, opt, &pool, nullptr).ok());
+}
+
+TEST(NnTrainingTest, NonFiniteObjectiveIsAnError) {
+  // A learning rate this large overflows the weights within the first
+  // epoch; the NaN must surface as an error naming the family and the
+  // epoch on both kernel planes (the vector activations propagate NaN).
+  TempDir dir;
+  BufferPool pool(512);
+  auto rel =
+      std::move(GenerateSynthetic(SmallSpec(dir.str()), &pool)).value();
+  NnOptions opt = SmallOptions(dir.str());
+  opt.learning_rate = 1e200;
+  for (const auto kernels : {la::KernelMode::kScalar, la::KernelMode::kSimd}) {
+    opt.kernels = kernels;
+    for (const auto algo :
+         {core::Algorithm::kMaterialized, core::Algorithm::kStreaming,
+          core::Algorithm::kFactorized}) {
+      const auto r = core::TrainNn(rel, opt, algo, &pool, nullptr);
+      ASSERT_FALSE(r.ok()) << core::AlgorithmName(algo);
+      EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange);
+      EXPECT_NE(r.status().message().find("NN"), std::string::npos);
+      EXPECT_NE(r.status().message().find("epoch 1"), std::string::npos)
+          << r.status().ToString();
+    }
+  }
 }
 
 TEST(NnExactnessTest, FullBatchAndTinyBatchesBothAgree) {

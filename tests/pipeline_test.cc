@@ -1144,6 +1144,90 @@ TEST(KernelsModelParityTest, NnSimdMatchesScalarWorkStream) {
   }
 }
 
+TEST(KernelsModelParityTest, NnSimdMatchesScalarBeyondOneSigmoidLayer) {
+  // The strip-native upper layers (BackpropEngine::StepStrips) under
+  // deeper networks, every transcendental and piecewise activation, and
+  // the full optimizer (dropout masks drawn in the scalar path's
+  // row-major order, momentum, weight decay). Per case and strategy: the
+  // work stream equals the scalar plane's, the trajectory agrees to
+  // tolerance, and the simd plane is bit-exact across thread counts.
+  struct Case {
+    const char* name;
+    std::vector<size_t> hidden;
+    nn::Activation activation;
+    double dropout, momentum, weight_decay;
+  };
+  const Case cases[] = {
+      {"sigmoid 16x8", {16, 8}, nn::Activation::kSigmoid, 0.0, 0.0, 0.0},
+      {"tanh 16x8", {16, 8}, nn::Activation::kTanh, 0.0, 0.0, 0.0},
+      {"relu 12", {12}, nn::Activation::kRelu, 0.0, 0.0, 0.0},
+      {"tanh 16x8 dropout+momentum+decay", {16, 8}, nn::Activation::kTanh,
+       0.25, 0.9, 1e-3},
+      {"relu 12 dropout+momentum+decay", {12}, nn::Activation::kRelu, 0.25,
+       0.9, 1e-3},
+  };
+  TempDir dir;
+  BufferPool pool(512);
+  auto rel =
+      std::move(GenerateSynthetic(Spec(dir.str(), true), &pool)).value();
+  for (const Case& c : cases) {
+    for (const auto algo : kAll) {
+      const std::string what =
+          std::string(c.name) + " " + core::AlgorithmName(algo);
+      nn::NnOptions opt;
+      opt.hidden = c.hidden;
+      opt.activation = c.activation;
+      opt.hidden_dropout = c.dropout;
+      opt.momentum = c.momentum;
+      opt.weight_decay = c.weight_decay;
+      opt.epochs = 2;
+      opt.batch_rows = 300;  // > one strip, with a short last strip
+      opt.learning_rate = 0.02;
+      opt.temp_dir = dir.str();
+      core::TrainReport simd_reports[2];
+      nn::Mlp simd_nets[2];
+      for (int t = 0; t < 2; ++t) {
+        opt.threads = t == 0 ? 1 : 4;
+        const std::string tag =
+            what + " threads=" + std::to_string(opt.threads);
+        opt.kernels = la::KernelMode::kScalar;
+        pool.Clear();
+        core::TrainReport scalar_report;
+        auto scalar = core::TrainNn(rel, opt, algo, &pool, &scalar_report);
+        ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
+        opt.kernels = la::KernelMode::kSimd;
+        pool.Clear();
+        auto simd = core::TrainNn(rel, opt, algo, &pool, &simd_reports[t]);
+        ASSERT_TRUE(simd.ok()) << simd.status().ToString();
+        simd_nets[t] = std::move(simd).value();
+        ExpectSameWorkStream(simd_reports[t], scalar_report, tag);
+        EXPECT_EQ(simd_reports[t].iterations, scalar_report.iterations) << tag;
+        EXPECT_NEAR(simd_reports[t].final_objective,
+                    scalar_report.final_objective,
+                    1e-7 * std::fabs(scalar_report.final_objective))
+            << tag;
+        EXPECT_LT(nn::Mlp::MaxAbsDiffParams(scalar.value(), simd_nets[t]),
+                  1e-6)
+            << tag;
+        // The strip plane names its batch transposes: a "pack" phase.
+        const auto has_pack = [](const core::TrainReport& r) {
+          for (const auto& p : r.phases) {
+            if (p.name == "pack") return true;
+          }
+          return false;
+        };
+        EXPECT_TRUE(has_pack(simd_reports[t])) << tag;
+        EXPECT_FALSE(has_pack(scalar_report)) << tag;
+      }
+      EXPECT_EQ(simd_reports[0].final_objective,
+                simd_reports[1].final_objective)
+          << what;
+      EXPECT_EQ(nn::Mlp::MaxAbsDiffParams(simd_nets[0], simd_nets[1]), 0.0)
+          << what;
+    }
+  }
+}
+
 // ----------------------------------------------- multiway linreg parity
 
 TEST(LinregTest, MultiwayFactorizedMatches) {
