@@ -242,9 +242,9 @@ constexpr size_t kGatherRows = 64;  // attribute-table height for gathers
 /// epoch plane (W1 slice, transposed activation block, partial-cache
 /// rows and a rid column).
 struct StripData {
-  StripData(size_t d, size_t rows, uint64_t seed)
+  StripData(size_t d, size_t rows, uint64_t seed, size_t nh = kNh)
       : data(d * rows), w(rows), v(d), center(d), out(rows), cols(d),
-        w1(kNh * d), ct(kNh * rows), grad(kNh * d),
+        w1(nh * d), ct(nh * rows), grad(nh * d),
         base(kGatherRows * kNh), gout(rows * kNh), idx(rows) {
     Rng rng(seed);
     for (double& x : data) x = rng.NextGaussian();
@@ -342,41 +342,51 @@ void BM_QuadFormStrip(benchmark::State& state) {
 }
 BENCHMARK(BM_QuadFormStrip)->ArgsProduct({{8, 32}, {0, 1}});
 
+// The gemm_strip benches take (d, simd, nh). nh=16 fills the kernel's
+// 4-row and 2-row tiles exactly; nh=50 with d=20 is the s_nn_epochs
+// geometry, which leaves 2 rows per 4-row tile and 2 columns per 3-column
+// dot tile, so the remainder tiles are timed too.
 void BM_GemmStrip(benchmark::State& state) {
   // The NN first-layer forward shape: C(nh x rows) = W1(nh x d) * strip.
   const size_t d = static_cast<size_t>(state.range(0));
-  StripData s(d, kStripRows, 26);
+  const size_t nh = static_cast<size_t>(state.range(2));
+  StripData s(d, kStripRows, 26, nh);
   la::SelectKernels(ModeOf(state));
   const la::Kernels& k = la::Active();
   for (auto _ : state) {
-    k.gemm_strip(s.w1.data(), d, s.data.data(), kStripRows, kNh, kStripRows,
+    k.gemm_strip(s.w1.data(), d, s.data.data(), kStripRows, nh, kStripRows,
                  d, s.ct.data(), kStripRows, /*trans_b=*/false,
                  /*accumulate=*/false);
     benchmark::DoNotOptimize(s.ct.data());
   }
   la::SelectKernels(la::KernelMode::kScalar);
-  state.SetItemsProcessed(state.iterations() * kStripRows * kNh * d);
+  state.SetItemsProcessed(state.iterations() * kStripRows * nh * d);
   LabelBackend(state);
 }
-BENCHMARK(BM_GemmStrip)->ArgsProduct({{8, 32}, {0, 1}});
+BENCHMARK(BM_GemmStrip)
+    ->ArgsProduct({{8, 32}, {0, 1}, {kNh}})
+    ->ArgsProduct({{20}, {0, 1}, {50}});
 
 void BM_GemmStripT(benchmark::State& state) {
   // The NN backward shape: G(nh x d) += delta^T(nh x rows) * strip^T.
   const size_t d = static_cast<size_t>(state.range(0));
-  StripData s(d, kStripRows, 27);
+  const size_t nh = static_cast<size_t>(state.range(2));
+  StripData s(d, kStripRows, 27, nh);
   la::SelectKernels(ModeOf(state));
   const la::Kernels& k = la::Active();
   for (auto _ : state) {
-    k.gemm_strip(s.ct.data(), kStripRows, s.data.data(), kStripRows, kNh, d,
+    k.gemm_strip(s.ct.data(), kStripRows, s.data.data(), kStripRows, nh, d,
                  kStripRows, s.grad.data(), d, /*trans_b=*/true,
                  /*accumulate=*/true);
     benchmark::DoNotOptimize(s.grad.data());
   }
   la::SelectKernels(la::KernelMode::kScalar);
-  state.SetItemsProcessed(state.iterations() * kStripRows * kNh * d);
+  state.SetItemsProcessed(state.iterations() * kStripRows * nh * d);
   LabelBackend(state);
 }
-BENCHMARK(BM_GemmStripT)->ArgsProduct({{8, 32}, {0, 1}});
+BENCHMARK(BM_GemmStripT)
+    ->ArgsProduct({{8, 32}, {0, 1}, {kNh}})
+    ->ArgsProduct({{20}, {0, 1}, {50}});
 
 void BM_GatherAddRowsStrip(benchmark::State& state) {
   // The factorized NN partial-cache gather over an FK1 rid column.

@@ -96,6 +96,17 @@ class GmmProgram final : public core::pipeline::ModelProgram {
   uint32_t Capabilities() const override {
     return core::pipeline::kFullPass | core::pipeline::kFactorized;
   }
+  Status ValidateOptions(const join::NormalizedRelations& rel) const override {
+    if (opt_.num_components == 0 ||
+        opt_.num_components > static_cast<uint64_t>(rel.s.num_rows())) {
+      return Status::InvalidArgument(
+          "gmm: num_components must be in [1, number of S rows]");
+    }
+    if (opt_.max_iters < 1) {
+      return Status::InvalidArgument("gmm: max_iters must be >= 1");
+    }
+    return Status::OK();
+  }
   int MaxIterations() const override { return opt_.max_iters; }
   int NumPasses(int) const override { return 3; }
   const char* PassName(int pass) const override {

@@ -64,6 +64,9 @@ class KmeansProgram final : public core::pipeline::ModelProgram {
       return Status::InvalidArgument(
           "num_clusters must be in [1, num data points]");
     }
+    if (opt_.max_iters < 1) {
+      return Status::InvalidArgument("kmeans: max_iters must be >= 1");
+    }
     return Status::OK();
   }
 

@@ -89,14 +89,27 @@ struct Kernels {
   // ------------------------------------------- dgemm-shaped strip kernel
   // trans_b == false:  C(m x n, ldc) (+)= A(m x k, lda) * B(k x n, ldb)
   //   — axpy-form over n; B's rows are contiguous length-n runs (strip
-  //   columns / transposed batch rows), so the vector backends stream
-  //   whole lanes of C. The NN first-layer forward shape: A = W1 slice,
+  //   columns / transposed batch rows), so the vector backends broadcast
+  //   a(i, p) against whole lanes of B's row p. The NN first-layer forward
+  //   shape: A = W1 slice,
   //   B = one feature strip, C = the transposed activation block.
   // trans_b == true:   C(m x n, ldc) (+)= A(m x k, lda) * B(n x k, ldb)^T
   //   — dot-form over k; both operands contiguous along k (two strip
   //   blocks of the same height). The NN backward shape: A = transposed
   //   delta strip, B = the feature strip, C = a W1-gradient block.
   // accumulate == false overwrites C's m x n block instead of adding.
+  // C must not overlap A or B.
+  //
+  // The vector backends register-block both forms: a C tile stays in
+  // registers across the whole reduction and is stored once — 4 rows x
+  // 12 columns in the axpy form, 2 A rows x 3 B rows in the dot form,
+  // with the leftover rows and columns (down to a zero-padded partial
+  // vector) in smaller tiles of the same scheme. Contract: every output
+  // element sees exactly the summation sequence of the row-at-a-time
+  // loop — the axpy form c0 + a(i,0) b(0,j) + a(i,1) b(1,j) + ... in
+  // ascending k from c0 = C (accumulate) or 0.0, the dot form c0 +
+  // dot(A row, B row) in `dot`'s own order — so the blocked kernel is
+  // bit-identical to `axpy` / `dot` per row (la_test pins it).
   void (*gemm_strip)(const double* a, size_t lda, const double* b, size_t ldb,
                      size_t m, size_t n, size_t k, double* c, size_t ldc,
                      bool trans_b, bool accumulate);

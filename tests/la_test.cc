@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -647,6 +648,125 @@ TEST(KernelsTest, GemmStripMatchesNaiveOnEveryBackend) {
     kern.gemm_strip(a2.data(), n, b.data(), n, m, k, n, ct.data(), k,
                     /*trans_b=*/true, /*accumulate=*/true);
     EXPECT_LT(Matrix::MaxAbsDiff(ct, ref_nt), 1e-8);
+  }
+}
+
+/// The row-at-a-time gemm_strip loops the register-blocked kernel
+/// replaced, spelled with the backend's own Dot / Axpy: the summation
+/// order every output element must keep.
+void ReferenceGemmStrip(const Kernels& kern, const double* a, size_t lda,
+                        const double* b, size_t ldb, size_t m, size_t n,
+                        size_t k, double* c, size_t ldc, bool trans_b,
+                        bool accumulate) {
+  for (size_t i = 0; i < m; ++i) {
+    const double* ai = a + i * lda;
+    double* ci = c + i * ldc;
+    if (!accumulate) std::fill(ci, ci + n, 0.0);
+    if (trans_b) {
+      for (size_t j = 0; j < n; ++j) ci[j] += kern.dot(ai, b + j * ldb, k);
+    } else {
+      for (size_t p = 0; p < k; ++p) kern.axpy(ai[p], b + p * ldb, ci, n);
+    }
+  }
+}
+
+/// Runs gemm_strip and the reference on copies of `c0` and requires the
+/// two C buffers (padding columns included) to be memcmp-equal.
+void ExpectGemmStripBitEqual(const Kernels& kern, const std::vector<double>& a,
+                             size_t lda, const std::vector<double>& b,
+                             size_t ldb, size_t m, size_t n, size_t k,
+                             const std::vector<double>& c0, size_t ldc,
+                             bool trans_b, bool accumulate,
+                             std::vector<double>* out = nullptr) {
+  std::vector<double> got = c0, want = c0;
+  kern.gemm_strip(a.data(), lda, b.data(), ldb, m, n, k, got.data(), ldc,
+                  trans_b, accumulate);
+  ReferenceGemmStrip(kern, a.data(), lda, b.data(), ldb, m, n, k,
+                     want.data(), ldc, trans_b, accumulate);
+  EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                           got.size() * sizeof(double)))
+      << "m=" << m << " n=" << n << " k=" << k << " trans_b=" << trans_b
+      << " accumulate=" << accumulate;
+  if (out != nullptr) *out = got;
+}
+
+TEST(KernelsTest, GemmStripBlockedBitEqualToReferenceLoops) {
+  // Every tile shape and remainder of both forms: m covers whole 4-row
+  // and 2-row tiles plus each leftover count, n every column panel width
+  // and tail, k Dot's 8-stride body, its 4-step tail and its scalar tail.
+  Rng rng(29);
+  for (const char* backend : {"portable", "native"}) {
+    SCOPED_TRACE(backend);
+    ScopedBackendEnv env(backend);
+    ScopedKernels simd(KernelMode::kSimd);
+    const Kernels& kern = Active();
+    for (size_t m : {1, 2, 3, 4, 5, 50}) {
+      for (size_t n : {1, 3, 4, 11, 12, 13, 203, 256}) {
+        for (size_t k : {1, 3, 4, 7, 8, 9, 20, 256}) {
+          for (bool trans_b : {false, true}) {
+            // Leading dimensions past the logical widths, so a tile that
+            // strays into the padding shows up in the memcmp.
+            const size_t lda = k + 1, ldc = n + 3;
+            const size_t b_rows = trans_b ? n : k;
+            const size_t ldb = (trans_b ? k : n) + 2;
+            std::vector<double> a(m * lda), b(b_rows * ldb);
+            for (auto& v : a) v = rng.NextGaussian();
+            for (auto& v : b) v = rng.NextGaussian();
+            const std::vector<double> c0(m * ldc, 0.25);
+            for (bool accumulate : {false, true}) {
+              ExpectGemmStripBitEqual(kern, a, lda, b, ldb, m, n, k, c0, ldc,
+                                      trans_b, accumulate);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelsTest, GemmStripBlockedKeepsSignedZeroAndNaN) {
+  // Row 0 of A is all -0.0 against positive B, so its products are -0.0:
+  // the axpy form must start overwrite from +0.0 (0.0 + -0.0 = +0.0) and
+  // accumulate from C's -0.0 (-0.0 + -0.0 = -0.0); the dot form adds
+  // Dot's +0.0 (its accumulators start at +0.0) to either. One NaN in A
+  // poisons its row and one NaN in B its column, in both forms.
+  const size_t m = 5, n = 13, k = 9;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Rng rng(31);
+  for (const char* backend : {"portable", "native"}) {
+    SCOPED_TRACE(backend);
+    ScopedBackendEnv env(backend);
+    ScopedKernels simd(KernelMode::kSimd);
+    const Kernels& kern = Active();
+    for (bool trans_b : {false, true}) {
+      const size_t lda = k, ldb = trans_b ? k : n, ldc = n;
+      std::vector<double> a(m * lda), b((trans_b ? n : k) * ldb);
+      for (auto& v : a) v = rng.NextUniform(0.5, 1.5);
+      for (auto& v : b) v = rng.NextUniform(0.5, 1.5);
+      for (size_t p = 0; p < k; ++p) a[p] = -0.0;
+      a[2 * lda + 1] = nan;
+      b[trans_b ? 5 * ldb + 3 : 3 * ldb + 5] = nan;
+      const std::vector<double> c0(m * ldc, -0.0);
+      for (bool accumulate : {false, true}) {
+        SCOPED_TRACE(accumulate ? "accumulate" : "overwrite");
+        std::vector<double> c;
+        ExpectGemmStripBitEqual(kern, a, lda, b, ldb, m, n, k, c0, ldc,
+                                trans_b, accumulate, &c);
+        for (size_t i = 0; i < m; ++i) {
+          for (size_t j = 0; j < n; ++j) {
+            const double v = c[i * ldc + j];
+            if (i == 2 || j == 5) {
+              EXPECT_TRUE(std::isnan(v)) << i << "," << j;
+            } else if (i == 0) {
+              EXPECT_EQ(v, 0.0) << j;
+              EXPECT_EQ(std::signbit(v), accumulate && !trans_b) << j;
+            } else {
+              EXPECT_GT(v, 0.0) << i << "," << j;
+            }
+          }
+        }
+      }
+    }
   }
 }
 

@@ -11,9 +11,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/factorml.h"
@@ -630,6 +632,48 @@ TEST(LogregTest, RequiresTargetAndValidOptions) {
                                nullptr);
   EXPECT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(GmmTest, RejectsInvalidOptions) {
+  // Out-of-range hyperparameters are InvalidArgument before any pass runs,
+  // on every strategy: no component count the S rows cannot seed, and no
+  // zero-iteration run reporting a -inf objective.
+  TempDir dir;
+  BufferPool pool(512);
+  auto rel =
+      std::move(GenerateSynthetic(Spec(dir.str(), false), &pool)).value();
+  const size_t s_rows = static_cast<size_t>(rel.s.num_rows());
+  for (const auto algo : kAll) {
+    for (const auto& [k, iters] :
+         {std::pair<size_t, int>{0, 2}, {s_rows + 1, 2}, {SIZE_MAX, 2},
+          {3, 0}, {3, -1}}) {
+      gmm::GmmOptions opt;
+      opt.num_components = k;
+      opt.max_iters = iters;
+      opt.temp_dir = dir.str();
+      auto m = core::TrainGmm(rel, opt, algo, &pool, nullptr);
+      ASSERT_FALSE(m.ok()) << "k=" << k << " iters=" << iters;
+      EXPECT_EQ(m.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+}
+
+TEST(KmeansTest, RejectsNonPositiveIterations) {
+  TempDir dir;
+  BufferPool pool(512);
+  auto rel =
+      std::move(GenerateSynthetic(Spec(dir.str(), false), &pool)).value();
+  for (const auto algo : kAll) {
+    for (const int iters : {0, -3}) {
+      kmeans::KmeansOptions opt;
+      opt.num_clusters = 3;
+      opt.max_iters = iters;
+      opt.temp_dir = dir.str();
+      auto m = core::TrainKmeans(rel, opt, algo, &pool, nullptr);
+      ASSERT_FALSE(m.ok()) << "iters=" << iters;
+      EXPECT_EQ(m.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
 }
 
 // --------------------------------------------- prefetch residency-only
