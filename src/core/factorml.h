@@ -9,6 +9,7 @@
 #include "core/pipeline/access_strategy.h"  // IWYU pragma: export
 #include "core/pipeline/model_program.h"    // IWYU pragma: export
 #include "core/report.h"            // IWYU pragma: export
+#include "core/runtime_options.h"   // IWYU pragma: export
 #include "core/statistics.h"        // IWYU pragma: export
 #include "core/trainer.h"           // IWYU pragma: export
 #include "gmm/inference.h"          // IWYU pragma: export

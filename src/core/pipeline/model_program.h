@@ -37,6 +37,12 @@ enum Capability : uint32_t {
   kNeedsTarget = 1u << 3,
 };
 
+/// The InvalidArgument a ValidateOptions hook returns for a hyperparameter
+/// outside its range, naming the option and its CLI flag (nullptr when the
+/// CLI has none): "<family>: <field> (--<flag>) must be <rule>, got <value>".
+Status InvalidOption(const char* family, const char* field, const char* flag,
+                     const char* rule, double value);
+
 /// Everything a training run shares between the access strategy and the
 /// model program. `views` is non-null only while the S/F strategies have
 /// the attribute tables resident (between BeginPass/BeginEpoch and the end
@@ -179,7 +185,8 @@ class ModelProgram {
   /// that materializes): <temp_dir>/m_<TempStem()>_T.fml.
   virtual const char* TempStem() const = 0;
   virtual uint32_t Capabilities() const = 0;
-  /// Option/shape checks run before any measurement starts.
+  /// Hyperparameter/shape checks run before any measurement starts (the
+  /// runtime knobs are RuntimeOptions::Validate's); see InvalidOption.
   virtual Status ValidateOptions(const join::NormalizedRelations& rel) const {
     (void)rel;
     return Status::OK();

@@ -8,6 +8,7 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <string>
 
@@ -267,6 +268,7 @@ Status RunTraining(const join::NormalizedRelations& rel, Algorithm algorithm,
                    const StrategyOptions& options, ModelProgram* model,
                    storage::BufferPool* pool, TrainReport* report) {
   FML_RETURN_IF_ERROR(rel.Validate());
+  FML_RETURN_IF_ERROR(options.Validate());
   const uint32_t caps = model->Capabilities();
   if ((caps & kNeedsTarget) != 0 && !rel.has_target) {
     return Status::InvalidArgument(std::string(model->Name()) +
@@ -308,27 +310,6 @@ Status RunTraining(const join::NormalizedRelations& rel, Algorithm algorithm,
     }
     if (resolved.morsel_rows == 0) resolved.morsel_rows = kDefaultMorselRows;
   }
-  if (resolved.shard_backend != "inproc" &&
-      resolved.shard_backend != "process") {
-    return Status::InvalidArgument("unknown --shard-backend=" +
-                                   resolved.shard_backend +
-                                   " (expected inproc or process)");
-  }
-  if (resolved.delta_encoding != "dense" &&
-      resolved.delta_encoding != "sparse") {
-    return Status::InvalidArgument("unknown --delta-encoding=" +
-                                   resolved.delta_encoding +
-                                   " (expected dense or sparse)");
-  }
-  if (resolved.checkpoint_every < 0) {
-    return Status::InvalidArgument(
-        "--checkpoint-every=" + std::to_string(resolved.checkpoint_every) +
-        " must be >= 1");
-  }
-  if (resolved.checkpoint_every > 0 && resolved.checkpoint_dir.empty()) {
-    return Status::InvalidArgument(
-        "--checkpoint-every requires --checkpoint-dir");
-  }
 
   // Worker mode: this process IS a shard worker; the coordinator on the
   // other end of shard_channel drives its passes. Single attempt — the
@@ -364,6 +345,15 @@ Status RunTraining(const join::NormalizedRelations& rel, Algorithm algorithm,
 
   return RunTrainingAttempt(rel, algorithm, resolved, mini_batch, model,
                             pool, report, /*shard_driver=*/nullptr);
+}
+
+Status InvalidOption(const char* family, const char* field, const char* flag,
+                     const char* rule, double value) {
+  char got[32];
+  std::snprintf(got, sizeof(got), "%g", value);
+  std::string named = std::string(family) + ": " + field;
+  if (flag != nullptr) named += std::string(" (--") + flag + ")";
+  return Status::InvalidArgument(named + " must be " + rule + ", got " + got);
 }
 
 Result<la::Matrix> AssembleJoinedRows(const join::NormalizedRelations& rel,

@@ -79,6 +79,57 @@ Status ReadOps(net::ByteReader* r, OpCounters* ops) {
   return r->U64(&ops->exps);
 }
 
+/// The runtime block of the JOB frame: every RuntimeOptions field, in
+/// declaration order.
+void WriteRuntime(net::ByteWriter* w, const RuntimeOptions& o) {
+  w->U64(o.batch_rows);
+  w->Str(o.temp_dir);
+  w->I64(o.threads);
+  w->I64(o.morsel_rows);
+  w->U8(o.steal ? 1 : 0);
+  w->U8(o.prefetch ? 1 : 0);
+  w->I64(o.prefetch_depth);
+  w->I64(o.shards);
+  w->U8(static_cast<uint8_t>(o.kernels));
+  w->Str(o.shard_backend);
+  w->I64(o.shard_timeout_ms);
+  w->Str(o.shard_transport);
+  w->Str(o.shard_worker_path);
+  w->Str(o.delta_encoding);
+  w->Str(o.checkpoint_dir);
+  w->I64(o.checkpoint_every);
+}
+
+Status ReadRuntime(net::ByteReader* r, RuntimeOptions* o) {
+  uint64_t batch_rows = 0;
+  int64_t threads = 0, prefetch_depth = 0, shards = 0;
+  uint8_t steal = 0, prefetch = 0, kernels = 0;
+  FML_RETURN_IF_ERROR(r->U64(&batch_rows));
+  FML_RETURN_IF_ERROR(r->Str(&o->temp_dir));
+  FML_RETURN_IF_ERROR(r->I64(&threads));
+  FML_RETURN_IF_ERROR(r->I64(&o->morsel_rows));
+  FML_RETURN_IF_ERROR(r->U8(&steal));
+  FML_RETURN_IF_ERROR(r->U8(&prefetch));
+  FML_RETURN_IF_ERROR(r->I64(&prefetch_depth));
+  FML_RETURN_IF_ERROR(r->I64(&shards));
+  FML_RETURN_IF_ERROR(r->U8(&kernels));
+  FML_RETURN_IF_ERROR(r->Str(&o->shard_backend));
+  FML_RETURN_IF_ERROR(r->I64(&o->shard_timeout_ms));
+  FML_RETURN_IF_ERROR(r->Str(&o->shard_transport));
+  FML_RETURN_IF_ERROR(r->Str(&o->shard_worker_path));
+  FML_RETURN_IF_ERROR(r->Str(&o->delta_encoding));
+  FML_RETURN_IF_ERROR(r->Str(&o->checkpoint_dir));
+  FML_RETURN_IF_ERROR(r->I64(&o->checkpoint_every));
+  o->batch_rows = static_cast<size_t>(batch_rows);
+  o->threads = static_cast<int>(threads);
+  o->steal = steal != 0;
+  o->prefetch = prefetch != 0;
+  o->prefetch_depth = static_cast<int>(prefetch_depth);
+  o->shards = static_cast<int>(shards);
+  o->kernels = static_cast<la::KernelMode>(kernels);
+  return Status::OK();
+}
+
 /// Coordinator-side twin of ShardWorkerDriver::MaybeInjectFault:
 /// FACTORMLD_FAULT_KILL="coord:<pass_seq>" SIGKILLs the coordinating
 /// parent right before it sends the PASS frames of that sequence number —
@@ -135,28 +186,16 @@ bool IsShardRestart(const Status& status) {
 std::string EncodeShardJobSpec(const ShardJobSpec& spec) {
   net::ByteWriter w;
   w.U32(spec.version);
+  WriteRuntime(&w, spec);
   w.Str(spec.s_path);
   w.U64(spec.attr_paths.size());
   for (const auto& p : spec.attr_paths) w.Str(p);
   w.U8(spec.has_target ? 1 : 0);
   w.U64(spec.pool_pages);
   w.U8(static_cast<uint8_t>(spec.algorithm));
-  w.U64(spec.batch_rows);
-  w.I64(spec.threads);
-  w.I64(spec.morsel_rows);
-  w.U8(spec.steal ? 1 : 0);
-  w.U8(spec.prefetch ? 1 : 0);
-  w.I64(spec.prefetch_depth);
-  w.I64(spec.shards);
-  w.U8(spec.kernels);
-  w.I64(spec.shard_timeout_ms);
-  w.Str(spec.temp_dir);
   w.I64(spec.worker_id);
   w.Str(spec.family);
   w.Str(spec.family_blob);
-  w.Str(spec.delta_encoding);
-  w.Str(spec.checkpoint_dir);
-  w.I64(spec.checkpoint_every);
   return w.Take();
 }
 
@@ -170,6 +209,7 @@ Result<ShardJobSpec> DecodeShardJobSpec(const std::string& bytes) {
         std::to_string(spec.version) + ", want " +
         std::to_string(kShardProtocolVersion) + ")");
   }
+  FML_RETURN_IF_ERROR(ReadRuntime(&r, &spec));
   FML_RETURN_IF_ERROR(r.Str(&spec.s_path));
   uint64_t nattrs = 0;
   FML_RETURN_IF_ERROR(r.U64(&nattrs));
@@ -181,27 +221,11 @@ Result<ShardJobSpec> DecodeShardJobSpec(const std::string& bytes) {
   FML_RETURN_IF_ERROR(r.U8(&b));
   spec.has_target = b != 0;
   FML_RETURN_IF_ERROR(r.U64(&spec.pool_pages));
-  uint8_t algo = 0;
-  FML_RETURN_IF_ERROR(r.U8(&algo));
-  spec.algorithm = static_cast<char>(algo);
-  FML_RETURN_IF_ERROR(r.U64(&spec.batch_rows));
-  FML_RETURN_IF_ERROR(r.I64(&spec.threads));
-  FML_RETURN_IF_ERROR(r.I64(&spec.morsel_rows));
   FML_RETURN_IF_ERROR(r.U8(&b));
-  spec.steal = b != 0;
-  FML_RETURN_IF_ERROR(r.U8(&b));
-  spec.prefetch = b != 0;
-  FML_RETURN_IF_ERROR(r.I64(&spec.prefetch_depth));
-  FML_RETURN_IF_ERROR(r.I64(&spec.shards));
-  FML_RETURN_IF_ERROR(r.U8(&spec.kernels));
-  FML_RETURN_IF_ERROR(r.I64(&spec.shard_timeout_ms));
-  FML_RETURN_IF_ERROR(r.Str(&spec.temp_dir));
+  spec.algorithm = static_cast<char>(b);
   FML_RETURN_IF_ERROR(r.I64(&spec.worker_id));
   FML_RETURN_IF_ERROR(r.Str(&spec.family));
   FML_RETURN_IF_ERROR(r.Str(&spec.family_blob));
-  FML_RETURN_IF_ERROR(r.Str(&spec.delta_encoding));
-  FML_RETURN_IF_ERROR(r.Str(&spec.checkpoint_dir));
-  FML_RETURN_IF_ERROR(r.I64(&spec.checkpoint_every));
   if (!r.AtEnd()) {
     return Status::InvalidArgument("shard job: trailing bytes");
   }
@@ -509,28 +533,17 @@ int ProcessShardCoordinator::live_workers() const {
 
 Status ProcessShardCoordinator::SendJob(Worker* w) {
   ShardJobSpec spec;
+  static_cast<RuntimeOptions&>(spec) = options_;
+  spec.temp_dir =
+      options_.temp_dir + "/w" + std::to_string(w->id);  // worker-private
   spec.s_path = rel_->s.path();
   for (const auto& a : rel_->attrs) spec.attr_paths.push_back(a.path());
   spec.has_target = rel_->has_target;
   spec.pool_pages = pool_->capacity_pages();
   spec.algorithm = AlgorithmPrefix(algorithm_);
-  spec.batch_rows = options_.batch_rows;
-  spec.threads = options_.threads;
-  spec.morsel_rows = options_.morsel_rows;
-  spec.steal = options_.steal;
-  spec.prefetch = options_.prefetch;
-  spec.prefetch_depth = options_.prefetch_depth;
-  spec.shards = options_.shards;
-  spec.kernels = static_cast<uint8_t>(options_.kernels);
-  spec.shard_timeout_ms = options_.shard_timeout_ms;
-  spec.temp_dir =
-      options_.temp_dir + "/w" + std::to_string(w->id);  // worker-private
   spec.worker_id = w->id;
   spec.family = options_.shard_job_family;
   spec.family_blob = options_.shard_job_blob;
-  spec.delta_encoding = options_.delta_encoding;
-  spec.checkpoint_dir = options_.checkpoint_dir;
-  spec.checkpoint_every = options_.checkpoint_every;
   return w->conn.SendFrame(kFrameJob, EncodeShardJobSpec(spec));
 }
 

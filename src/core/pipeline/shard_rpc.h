@@ -62,35 +62,21 @@ enum ShardFrameType : uint32_t {
 };
 
 /// Everything a worker needs to replicate the parent's training run: the
-/// on-disk dataset, the resolved strategy knobs, and the model family's
-/// own options (an opaque family blob decoded by the family's
-/// DecodeShardJob). Carried once in the JOB frame.
-struct ShardJobSpec {
+/// resolved runtime knobs (threads >= 1, morsel_rows > 0; temp_dir is the
+/// worker's private subdirectory), the on-disk dataset, and the model
+/// family's own options (an opaque family blob decoded by the family's
+/// DecodeShardJob). Carried once in the JOB frame; encoder and decoder
+/// ship together — coordinator and workers are the same binary build.
+struct ShardJobSpec : RuntimeOptions {
   uint32_t version = kShardProtocolVersion;
   std::string s_path;
   std::vector<std::string> attr_paths;
   bool has_target = false;
   uint64_t pool_pages = 0;     // worker buffer-pool capacity (= parent's)
   char algorithm = 'm';        // AlgorithmPrefix char: m / s / f
-  // Strategy section — already resolved (threads >= 1, morsel_rows > 0).
-  uint64_t batch_rows = 8192;
-  int64_t threads = 1;
-  int64_t morsel_rows = 0;
-  bool steal = false;
-  bool prefetch = false;
-  int64_t prefetch_depth = 2;
-  int64_t shards = 1;
-  uint8_t kernels = 0;         // la::KernelMode
-  int64_t shard_timeout_ms = 30000;
-  std::string temp_dir;        // per-worker subdir, created by the worker
   int64_t worker_id = 0;
   std::string family;          // "gmm" / "linreg" / "kmeans" / "logreg"
   std::string family_blob;     // family EncodeShardJob output
-  // Appended fields (still protocol v1: encoder and decoder ship
-  // together — coordinator and workers are the same binary build).
-  std::string delta_encoding = "dense";  // ShardDelta wire: dense | sparse
-  std::string checkpoint_dir;            // worker restores (never writes)
-  int64_t checkpoint_every = 0;
 };
 
 std::string EncodeShardJobSpec(const ShardJobSpec& spec);

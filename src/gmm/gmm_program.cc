@@ -26,6 +26,7 @@ namespace {
 
 using core::pipeline::DenseBlock;
 using core::pipeline::FactorizedBlock;
+using core::pipeline::InvalidOption;
 using core::pipeline::PipelineContext;
 using internal::Responsibilities;
 using join::AttributeTableView;
@@ -100,10 +101,18 @@ class GmmProgram final : public core::pipeline::ModelProgram {
     if (opt_.num_components == 0 ||
         opt_.num_components > static_cast<uint64_t>(rel.s.num_rows())) {
       return Status::InvalidArgument(
-          "gmm: num_components must be in [1, number of S rows]");
+          "gmm: num_components (--k) must be in [1, number of S rows]");
     }
     if (opt_.max_iters < 1) {
-      return Status::InvalidArgument("gmm: max_iters must be >= 1");
+      return InvalidOption("gmm", "max_iters", "iters", ">= 1",
+                           opt_.max_iters);
+    }
+    if (!std::isfinite(opt_.tol)) {
+      return InvalidOption("gmm", "tol", "tol", "finite", opt_.tol);
+    }
+    if (!(opt_.cov_reg >= 0.0) || !std::isfinite(opt_.cov_reg)) {
+      return InvalidOption("gmm", "cov_reg", /*flag=*/nullptr,
+                           "finite and >= 0", opt_.cov_reg);
     }
     return Status::OK();
   }
@@ -1015,7 +1024,6 @@ class GmmProgram final : public core::pipeline::ModelProgram {
     std::vector<Matrix> sigma;    // k of d x d
   };
 
-  GmmOptions opt_;
   const join::NormalizedRelations* rel_ = nullptr;
   bool factorized_ = false;
   size_t k_ = 0, d_ = 0, ds_ = 0, q_ = 0, y_off_ = 0;
@@ -1036,6 +1044,10 @@ class GmmProgram final : public core::pipeline::ModelProgram {
   std::vector<double> mu_sum_;
   std::vector<std::vector<std::vector<double>>> gsum_;  // [i][c][rid]
   std::vector<Matrix> sigma_sum_;
+  // Last: the inherited RuntimeOptions block (unused by the program)
+  // makes it ~250 bytes, which would push every member above into long
+  // displacements in the accumulate loops.
+  GmmOptions opt_;
 };
 
 Result<GmmParams> TrainGmmWith(const join::NormalizedRelations& rel,
@@ -1044,8 +1056,7 @@ Result<GmmParams> TrainGmmWith(const join::NormalizedRelations& rel,
                                storage::BufferPool* pool,
                                core::TrainReport* report) {
   GmmProgram program(options);
-  core::pipeline::StrategyOptions sopt =
-      core::pipeline::LiftStrategyOptions(options);
+  core::pipeline::StrategyOptions sopt(options);
   if (sopt.shard_backend == "process") {
     sopt.shard_job_family = "gmm";
     sopt.shard_job_blob = EncodeShardJob(options);

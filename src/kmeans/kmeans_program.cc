@@ -29,6 +29,7 @@ namespace {
 
 using core::pipeline::DenseBlock;
 using core::pipeline::FactorizedBlock;
+using core::pipeline::InvalidOption;
 using core::pipeline::PipelineContext;
 using la::Matrix;
 
@@ -62,10 +63,14 @@ class KmeansProgram final : public core::pipeline::ModelProgram {
     if (opt_.num_clusters == 0 ||
         static_cast<int64_t>(opt_.num_clusters) > rel.s.num_rows()) {
       return Status::InvalidArgument(
-          "num_clusters must be in [1, num data points]");
+          "kmeans: num_clusters (--k) must be in [1, num data points]");
     }
     if (opt_.max_iters < 1) {
-      return Status::InvalidArgument("kmeans: max_iters must be >= 1");
+      return InvalidOption("kmeans", "max_iters", "iters", ">= 1",
+                           opt_.max_iters);
+    }
+    if (!std::isfinite(opt_.tol)) {
+      return InvalidOption("kmeans", "tol", "tol", "finite", opt_.tol);
     }
     return Status::OK();
   }
@@ -473,7 +478,6 @@ class KmeansProgram final : public core::pipeline::ModelProgram {
     std::vector<Matrix> gsum;    // [i]: k x nRi assignment mass
   };
 
-  KmeansOptions opt_;
   const join::NormalizedRelations* rel_ = nullptr;
   bool factorized_ = false;
   size_t k_ = 0, d_ = 0, ds_ = 0, q_ = 0, y_off_ = 0;
@@ -491,6 +495,10 @@ class KmeansProgram final : public core::pipeline::ModelProgram {
   std::vector<double> counts_;
   std::vector<double> sums_;
   std::vector<Matrix> gsum_;
+  // Last: the inherited RuntimeOptions block (unused by the program)
+  // makes it ~250 bytes, which would push every member above into long
+  // displacements in the accumulate loops.
+  KmeansOptions opt_;
 };
 
 }  // namespace
@@ -525,8 +533,7 @@ Result<KmeansModel> TrainKmeans(const join::NormalizedRelations& rel,
                                 storage::BufferPool* pool,
                                 core::TrainReport* report) {
   KmeansProgram program(options);
-  core::pipeline::StrategyOptions sopt =
-      core::pipeline::LiftStrategyOptions(options);
+  core::pipeline::StrategyOptions sopt(options);
   if (sopt.shard_backend == "process") {
     sopt.shard_job_family = "kmeans";
     sopt.shard_job_blob = EncodeShardJob(options);

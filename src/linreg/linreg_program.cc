@@ -28,6 +28,7 @@ namespace {
 
 using core::pipeline::DenseBlock;
 using core::pipeline::FactorizedBlock;
+using core::pipeline::InvalidOption;
 using core::pipeline::PipelineContext;
 using la::Matrix;
 
@@ -40,6 +41,12 @@ class LinregProgram final : public core::pipeline::ModelProgram {
   uint32_t Capabilities() const override {
     return core::pipeline::kFullPass | core::pipeline::kFactorized |
            core::pipeline::kNeedsTarget;
+  }
+  Status ValidateOptions(const join::NormalizedRelations&) const override {
+    if (!(opt_.l2 >= 0.0) || !std::isfinite(opt_.l2)) {
+      return InvalidOption("linreg", "l2", "l2", "finite and >= 0", opt_.l2);
+    }
+    return Status::OK();
   }
   int MaxIterations() const override { return 1; }  // closed form
   const char* PassName(int) const override { return "gram"; }
@@ -363,7 +370,6 @@ class LinregProgram final : public core::pipeline::ModelProgram {
     std::vector<std::vector<double>> ysum;  // [i][rid] target mass
   };
 
-  LinregOptions opt_;
   const join::NormalizedRelations* rel_ = nullptr;
   const std::vector<join::AttributeTableView>* views_ = nullptr;
   bool factorized_ = false;
@@ -382,6 +388,10 @@ class LinregProgram final : public core::pipeline::ModelProgram {
 
   LinregModel model_;
   double sse_ = 0.0;
+  // Last: the inherited RuntimeOptions block (unused by the program)
+  // makes it ~250 bytes, which would push every member above into long
+  // displacements in the accumulate loops.
+  LinregOptions opt_;
 };
 
 }  // namespace
@@ -405,8 +415,7 @@ Result<LinregModel> TrainLinreg(const join::NormalizedRelations& rel,
                                 storage::BufferPool* pool,
                                 core::TrainReport* report) {
   LinregProgram program(options);
-  core::pipeline::StrategyOptions sopt =
-      core::pipeline::LiftStrategyOptions(options);
+  core::pipeline::StrategyOptions sopt(options);
   if (sopt.shard_backend == "process") {
     sopt.shard_job_family = "linreg";
     sopt.shard_job_blob = EncodeShardJob(options);

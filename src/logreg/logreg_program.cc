@@ -34,6 +34,7 @@ namespace {
 
 using core::pipeline::DenseBlock;
 using core::pipeline::FactorizedBlock;
+using core::pipeline::InvalidOption;
 using core::pipeline::PipelineContext;
 using la::Matrix;
 
@@ -50,13 +51,16 @@ class LogregProgram final : public core::pipeline::ModelProgram {
     return core::pipeline::kFullPass | core::pipeline::kFactorized |
            core::pipeline::kNeedsTarget;
   }
-  Status ValidateOptions(const join::NormalizedRelations& rel) const override {
-    (void)rel;
+  Status ValidateOptions(const join::NormalizedRelations&) const override {
     if (opt_.max_iters < 1) {
-      return Status::InvalidArgument("logreg: max_iters must be >= 1");
+      return InvalidOption("logreg", "max_iters", "iters", ">= 1",
+                           opt_.max_iters);
     }
-    if (opt_.l2 < 0.0) {
-      return Status::InvalidArgument("logreg: l2 must be >= 0");
+    if (!(opt_.l2 >= 0.0) || !std::isfinite(opt_.l2)) {
+      return InvalidOption("logreg", "l2", "l2", "finite and >= 0", opt_.l2);
+    }
+    if (!std::isfinite(opt_.tol)) {
+      return InvalidOption("logreg", "tol", "tol", "finite", opt_.tol);
     }
     return Status::OK();
   }
@@ -441,7 +445,6 @@ class LogregProgram final : public core::pipeline::ModelProgram {
     return {s, z};
   }
 
-  LogregOptions opt_;
   const join::NormalizedRelations* rel_ = nullptr;
   const std::vector<join::AttributeTableView>* views_ = nullptr;
   bool factorized_ = false;
@@ -462,6 +465,10 @@ class LogregProgram final : public core::pipeline::ModelProgram {
   std::vector<exec::Range> slot_spans_;  // table-0 rid span per slot
 
   LogregModel model_;
+  // Last: the inherited RuntimeOptions block (unused by the program)
+  // makes it ~250 bytes, which would push every member above into long
+  // displacements in the accumulate loops.
+  LogregOptions opt_;
 };
 
 }  // namespace
@@ -485,8 +492,7 @@ Result<LogregModel> TrainLogreg(const join::NormalizedRelations& rel,
                                 storage::BufferPool* pool,
                                 core::TrainReport* report) {
   LogregProgram program(options);
-  core::pipeline::StrategyOptions sopt =
-      core::pipeline::LiftStrategyOptions(options);
+  core::pipeline::StrategyOptions sopt(options);
   if (sopt.shard_backend == "process") {
     sopt.shard_job_family = "logreg";
     sopt.shard_job_blob = EncodeShardJob(options);

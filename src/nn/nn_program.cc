@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -32,14 +31,8 @@ namespace {
 
 using core::pipeline::DenseBatch;
 using core::pipeline::FactorizedBlock;
+using core::pipeline::InvalidOption;
 using core::pipeline::PipelineContext;
-
-/// `v` in its shortest %g spelling ("1", "-0.1", "inf") for messages.
-std::string Shortest(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  return buf;
-}
 
 /// Per-attribute-table cache of first-layer partial inner products:
 /// row rid holds W1[:, slice_i] * x_ri (plus the layer bias for table 0,
@@ -78,32 +71,23 @@ class NnProgram final : public core::pipeline::ModelProgram {
       }
     }
     if (opt_.epochs < 0) {
-      return Status::InvalidArgument(
-          "NN: epochs (--epochs) must be >= 0, got " +
-          std::to_string(opt_.epochs));
-    }
-    if (opt_.batch_rows == 0) {
-      return Status::InvalidArgument("NN: batch_rows (--batch) must be >= 1");
+      return InvalidOption("NN", "epochs", "epochs", ">= 0", opt_.epochs);
     }
     if (!(opt_.learning_rate > 0.0) || !std::isfinite(opt_.learning_rate)) {
-      return Status::InvalidArgument(
-          "NN: learning_rate (--lr) must be finite and > 0, got " +
-          Shortest(opt_.learning_rate));
+      return InvalidOption("NN", "learning_rate", "lr", "finite and > 0",
+                           opt_.learning_rate);
     }
     if (!(opt_.hidden_dropout >= 0.0 && opt_.hidden_dropout < 1.0)) {
-      return Status::InvalidArgument(
-          "NN: hidden_dropout (--dropout) must be in [0, 1), got " +
-          Shortest(opt_.hidden_dropout));
+      return InvalidOption("NN", "hidden_dropout", "dropout", "in [0, 1)",
+                           opt_.hidden_dropout);
     }
     if (!(opt_.momentum >= 0.0 && opt_.momentum < 1.0)) {
-      return Status::InvalidArgument(
-          "NN: momentum (--momentum) must be in [0, 1), got " +
-          Shortest(opt_.momentum));
+      return InvalidOption("NN", "momentum", "momentum", "in [0, 1)",
+                           opt_.momentum);
     }
     if (!(opt_.weight_decay >= 0.0) || !std::isfinite(opt_.weight_decay)) {
-      return Status::InvalidArgument(
-          "NN: weight_decay (--weight_decay) must be finite and >= 0, got " +
-          Shortest(opt_.weight_decay));
+      return InvalidOption("NN", "weight_decay", "weight_decay",
+                           "finite and >= 0", opt_.weight_decay);
     }
     return Status::OK();
   }
@@ -591,7 +575,6 @@ class NnProgram final : public core::pipeline::ModelProgram {
   Mlp&& TakeMlp() && { return std::move(mlp_); }
 
  private:
-  NnOptions opt_;
   const join::NormalizedRelations* rel_ = nullptr;
   bool factorized_ = false;
   size_t q_ = 0, ds_ = 0, d_ = 0, nh_ = 0;
@@ -613,6 +596,10 @@ class NnProgram final : public core::pipeline::ModelProgram {
   std::vector<std::vector<int64_t>> stale_;  // rids to refill per batch
   uint64_t version_ = 1;
   double epoch_sse_ = 0.0;
+  // Last: the inherited RuntimeOptions block (unused by the program)
+  // makes it ~250 bytes, which would push every member above into long
+  // displacements in the accumulate loops.
+  NnOptions opt_;
 };
 
 Result<Mlp> TrainNnWith(const join::NormalizedRelations& rel,
@@ -621,7 +608,7 @@ Result<Mlp> TrainNnWith(const join::NormalizedRelations& rel,
                         core::TrainReport* report) {
   NnProgram program(options);
   FML_RETURN_IF_ERROR(core::pipeline::RunTraining(
-      rel, algorithm, core::pipeline::LiftStrategyOptions(options), &program,
+      rel, algorithm, core::pipeline::StrategyOptions(options), &program,
       pool, report));
   return std::move(program).TakeMlp();
 }

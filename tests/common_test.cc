@@ -11,6 +11,7 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
+#include "core/factorml.h"
 #include "gtest/gtest.h"
 
 namespace factorml {
@@ -423,6 +424,91 @@ TEST(FlagsDeathTest, CheckpointEveryBelowOneExits2) {
   ArgParser args(3, const_cast<char**>(argv));
   EXPECT_EXIT(args.GetCheckpointEvery(), ::testing::ExitedWithCode(2),
               "invalid --checkpoint-every=0");
+}
+
+// --------------------------------------------------- RuntimeOptions flags
+
+// Every runtime flag of the train-* commands lands in its RuntimeOptions
+// field through the one shared reader.
+TEST(RuntimeFlagsTest, EveryFlagLandsInItsField) {
+  const std::string dir = ::testing::TempDir();
+  const std::vector<std::string> flags = {
+      "--dir=" + dir,          "--batch=300",
+      "--threads=3",           "--morsel-rows=512",
+      "--steal=on",            "--prefetch=on",
+      "--prefetch-depth=4",    "--shards=5",
+      "--kernels=simd",        "--shard-backend=process",
+      "--shard-timeout-ms=77", "--shard-transport=tcp",
+      "--factormld=workers/factormld", "--delta-encoding=sparse",
+      "--checkpoint-dir=" + dir, "--checkpoint-every=6"};
+  std::vector<const char*> argv = {"prog"};
+  for (const std::string& f : flags) argv.push_back(f.c_str());
+  ArgParser args(static_cast<int>(argv.size()),
+                 const_cast<char**>(argv.data()));
+  const core::RuntimeOptions o = core::RuntimeOptionsFromFlags(args, 8192);
+  EXPECT_EQ(o.batch_rows, 300u);
+  EXPECT_EQ(o.temp_dir, dir);
+  EXPECT_EQ(o.threads, 3);
+  EXPECT_EQ(o.morsel_rows, 512);
+  EXPECT_TRUE(o.steal);
+  EXPECT_TRUE(o.prefetch);
+  EXPECT_EQ(o.prefetch_depth, 4);
+  EXPECT_EQ(o.shards, 5);
+  EXPECT_EQ(o.kernels, la::KernelMode::kSimd);
+  EXPECT_EQ(o.shard_backend, "process");
+  EXPECT_EQ(o.shard_timeout_ms, 77);
+  EXPECT_EQ(o.shard_transport, "tcp");
+  EXPECT_EQ(o.shard_worker_path, "workers/factormld");
+  EXPECT_EQ(o.delta_encoding, "sparse");
+  EXPECT_EQ(o.checkpoint_dir, dir);
+  EXPECT_EQ(o.checkpoint_every, 6);
+  EXPECT_TRUE(o.Validate().ok()) << o.Validate().ToString();
+}
+
+// Without flags the reader yields the struct defaults, except --batch,
+// whose default is the family's own (NN trains in 1024-row mini-batches).
+TEST(RuntimeFlagsTest, DefaultsAndPerFamilyBatch) {
+  const char* argv[] = {"prog"};
+  ArgParser args(1, const_cast<char**>(argv));
+  const core::RuntimeOptions defaults;
+  for (const size_t batch : {gmm::GmmOptions().batch_rows,
+                             nn::NnOptions().batch_rows}) {
+    const core::RuntimeOptions o = core::RuntimeOptionsFromFlags(args, batch);
+    EXPECT_EQ(o.batch_rows, batch);
+    EXPECT_EQ(o.temp_dir, defaults.temp_dir);
+    EXPECT_EQ(o.threads, 1);
+    EXPECT_EQ(o.morsel_rows, defaults.morsel_rows);
+    EXPECT_EQ(o.steal, defaults.steal);
+    EXPECT_EQ(o.prefetch, defaults.prefetch);
+    EXPECT_EQ(o.prefetch_depth, defaults.prefetch_depth);
+    EXPECT_EQ(o.shards, defaults.shards);
+    EXPECT_EQ(o.kernels, defaults.kernels);
+    EXPECT_EQ(o.shard_backend, defaults.shard_backend);
+    EXPECT_EQ(o.shard_timeout_ms, defaults.shard_timeout_ms);
+    EXPECT_EQ(o.shard_transport, defaults.shard_transport);
+    EXPECT_EQ(o.shard_worker_path, defaults.shard_worker_path);
+    EXPECT_EQ(o.delta_encoding, defaults.delta_encoding);
+    EXPECT_EQ(o.checkpoint_dir, defaults.checkpoint_dir);
+    EXPECT_EQ(o.checkpoint_every, defaults.checkpoint_every);
+  }
+  EXPECT_EQ(gmm::GmmOptions().batch_rows, 8192u);
+  EXPECT_EQ(linreg::LinregOptions().batch_rows, 8192u);
+  EXPECT_EQ(kmeans::KmeansOptions().batch_rows, 8192u);
+  EXPECT_EQ(logreg::LogregOptions().batch_rows, 8192u);
+  EXPECT_EQ(nn::NnOptions().batch_rows, 1024u);
+}
+
+// --batch=0 (or below) survives the reader and is rejected by Validate,
+// naming the flag; the train-* commands then exit 1, not abort.
+TEST(RuntimeFlagsTest, NonPositiveBatchFailsValidation) {
+  for (const char* batch : {"--batch=0", "--batch=-4"}) {
+    const char* argv[] = {"prog", batch};
+    ArgParser args(2, const_cast<char**>(argv));
+    const Status st = core::RuntimeOptionsFromFlags(args, 8192).Validate();
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << batch;
+    EXPECT_NE(st.message().find("--batch"), std::string::npos)
+        << st.ToString();
+  }
 }
 
 // -------------------------------------------------------------- OpCount

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -45,6 +46,21 @@ data::SyntheticSpec Spec(const std::string& dir, bool target) {
 constexpr core::Algorithm kAll[] = {core::Algorithm::kMaterialized,
                                     core::Algorithm::kStreaming,
                                     core::Algorithm::kFactorized};
+
+// Every strategy rejects `opt` up front with an InvalidArgument whose
+// message names `option` (the CLI flag, or the field when it has none).
+template <typename Options, typename Train>
+void ExpectRejectedEverywhere(const join::NormalizedRelations& rel,
+                              BufferPool* pool, const Options& opt,
+                              Train train, const std::string& option) {
+  for (const auto algo : kAll) {
+    auto m = train(rel, opt, algo, pool, nullptr);
+    ASSERT_FALSE(m.ok()) << option << " " << core::AlgorithmName(algo);
+    EXPECT_EQ(m.status().code(), StatusCode::kInvalidArgument) << option;
+    EXPECT_NE(m.status().message().find(option), std::string::npos)
+        << m.status().ToString();
+  }
+}
 
 // ------------------------------------------------- seed bit-exactness
 
@@ -232,6 +248,26 @@ TEST(LinregTest, RequiresTarget) {
                              nullptr);
   EXPECT_FALSE(m.ok());
   EXPECT_EQ(m.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(LinregTest, RejectsInvalidOptions) {
+  TempDir dir;
+  BufferPool pool(512);
+  auto rel =
+      std::move(GenerateSynthetic(Spec(dir.str(), true), &pool)).value();
+  const std::vector<std::pair<std::string, void (*)(linreg::LinregOptions*)>>
+      cases = {
+          {"--l2", [](linreg::LinregOptions* o) { o->l2 = -1.0; }},
+          {"--l2", [](linreg::LinregOptions* o) { o->l2 = NAN; }},
+          {"--l2", [](linreg::LinregOptions* o) { o->l2 = INFINITY; }},
+          {"--batch", [](linreg::LinregOptions* o) { o->batch_rows = 0; }},
+      };
+  for (const auto& [option, mutate] : cases) {
+    linreg::LinregOptions opt;
+    opt.temp_dir = dir.str();
+    mutate(&opt);
+    ExpectRejectedEverywhere(rel, &pool, opt, core::TrainLinreg, option);
+  }
 }
 
 // ------------------------------------------------------- kmeans parity
@@ -632,6 +668,24 @@ TEST(LogregTest, RequiresTargetAndValidOptions) {
                                nullptr);
   EXPECT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+
+  // Non-finite or negative l2 used to reach the Cholesky solve; a NaN tol
+  // used to run every iteration and succeed; batch_rows = 0 used to abort.
+  const std::vector<std::pair<std::string, void (*)(logreg::LogregOptions*)>>
+      cases = {
+          {"--l2", [](logreg::LogregOptions* o) { o->l2 = -1.0; }},
+          {"--l2", [](logreg::LogregOptions* o) { o->l2 = NAN; }},
+          {"--l2", [](logreg::LogregOptions* o) { o->l2 = INFINITY; }},
+          {"--tol", [](logreg::LogregOptions* o) { o->tol = NAN; }},
+          {"--tol", [](logreg::LogregOptions* o) { o->tol = -INFINITY; }},
+          {"--batch", [](logreg::LogregOptions* o) { o->batch_rows = 0; }},
+      };
+  for (const auto& [option, mutate] : cases) {
+    logreg::LogregOptions o;
+    o.temp_dir = dir.str();
+    mutate(&o);
+    ExpectRejectedEverywhere(rel_t, &pool, o, core::TrainLogreg, option);
+  }
 }
 
 TEST(GmmTest, RejectsInvalidOptions) {
@@ -656,6 +710,24 @@ TEST(GmmTest, RejectsInvalidOptions) {
       EXPECT_EQ(m.status().code(), StatusCode::kInvalidArgument);
     }
   }
+  // A NaN tol used to run every iteration and exit 0; cov_reg has no
+  // flag, so its message names the field.
+  const std::vector<std::pair<std::string, void (*)(gmm::GmmOptions*)>>
+      cases = {
+          {"--tol", [](gmm::GmmOptions* o) { o->tol = NAN; }},
+          {"--tol", [](gmm::GmmOptions* o) { o->tol = INFINITY; }},
+          {"cov_reg", [](gmm::GmmOptions* o) { o->cov_reg = -1e-6; }},
+          {"cov_reg", [](gmm::GmmOptions* o) { o->cov_reg = NAN; }},
+          {"--batch", [](gmm::GmmOptions* o) { o->batch_rows = 0; }},
+      };
+  for (const auto& [option, mutate] : cases) {
+    gmm::GmmOptions opt;
+    opt.num_components = 3;
+    opt.max_iters = 2;
+    opt.temp_dir = dir.str();
+    mutate(&opt);
+    ExpectRejectedEverywhere(rel, &pool, opt, core::TrainGmm, option);
+  }
 }
 
 TEST(KmeansTest, RejectsNonPositiveIterations) {
@@ -673,6 +745,18 @@ TEST(KmeansTest, RejectsNonPositiveIterations) {
       ASSERT_FALSE(m.ok()) << "iters=" << iters;
       EXPECT_EQ(m.status().code(), StatusCode::kInvalidArgument);
     }
+  }
+  const std::vector<std::pair<std::string, void (*)(kmeans::KmeansOptions*)>>
+      cases = {
+          {"--tol", [](kmeans::KmeansOptions* o) { o->tol = NAN; }},
+          {"--batch", [](kmeans::KmeansOptions* o) { o->batch_rows = 0; }},
+      };
+  for (const auto& [option, mutate] : cases) {
+    kmeans::KmeansOptions opt;
+    opt.num_clusters = 3;
+    opt.temp_dir = dir.str();
+    mutate(&opt);
+    ExpectRejectedEverywhere(rel, &pool, opt, core::TrainKmeans, option);
   }
 }
 

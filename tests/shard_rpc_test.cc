@@ -351,7 +351,7 @@ TEST(ShardJobSpecTest, RoundTripsEveryField) {
   spec.prefetch = true;
   spec.prefetch_depth = 3;
   spec.shards = 4;
-  spec.kernels = 1;
+  spec.kernels = la::KernelMode::kSimd;
   spec.shard_timeout_ms = 1234;
   spec.temp_dir = "/tmp/w2";
   spec.worker_id = 2;

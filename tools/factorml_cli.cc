@@ -15,10 +15,11 @@
 //              joining (factorized aggregates).
 //   train      --dir=D --model=gmm|nn|linreg|kmeans|logreg
 //              [--algo=f|s|m|all] (model-specific flags as below)
-//   train-gmm  --dir=D [--algo=f|s|m|all] [--k=5 --iters=10] [--target]
+//   train-gmm  --dir=D [--algo=f|s|m|all] [--k=5 --iters=10 --tol=0]
+//              [--target]
 //   train-nn   --dir=D [--algo=f|s|m|all] [--nh=50 --epochs=10
-//              --lr=0.05 --batch=1024 --act=sigmoid|tanh|relu|identity
-//              --dropout=0 --momentum=0 --shuffle]
+//              --lr=0.05 --act=sigmoid|tanh|relu|identity
+//              --dropout=0 --momentum=0 --weight_decay=0 --shuffle]
 //   train-linreg --dir=D [--algo=f|s|m|all] [--l2=1e-3 --no_intercept]
 //   train-kmeans --dir=D [--algo=f|s|m|all] [--k=5 --iters=10 --tol=0]
 //              [--target]
@@ -27,6 +28,10 @@
 //   export     --dir=D --out=F.csv [--table=s|r1|r2...]
 //
 // Every train run prints a TrainReport (wall time, page I/O, flops).
+// Every train subcommand reads the same runtime flags
+// (core::RuntimeOptionsFromFlags), described below, plus `--batch=N`:
+// rows per streamed batch, default 8192 (NN: the mini-batch size,
+// default 1024); --batch < 1 exits 1 naming the flag.
 // `--threads=N` (any subcommand, default 1) runs the trainers on the
 // exec/ morsel-driven parallel runtime; --threads=1 is bit-identical to
 // the serial reproduction. `--buffer-pages=N` (train subcommands, default
@@ -103,7 +108,6 @@
 #include "core/factorml.h"
 #include "data/csv.h"
 #include "exec/thread_pool.h"
-#include "la/kernels.h"
 #include "obs/manifest.h"
 #include "obs/trace.h"
 
@@ -265,77 +269,51 @@ int CmdStats(const ArgParser& args) {
   return 0;
 }
 
-int CmdTrainGmm(const ArgParser& args) {
+/// The shared body of every train-* command: loads the relations under
+/// --dir, reads the runtime flags into `opt` (the family's own --batch
+/// default stays the default), and trains once per --algo strategy on a
+/// cleared pool, printing each TrainReport.
+template <typename Options, typename Train>
+int RunTrainCommand(const ArgParser& args, const char* name, bool has_target,
+                    Options opt, Train train) {
   const std::string dir = args.GetString("dir", "");
-  if (dir.empty()) return Fail("train-gmm requires --dir");
+  if (dir.empty()) return Fail(std::string(name) + " requires --dir");
   storage::BufferPool pool(
       static_cast<size_t>(args.GetBufferPages(8192)));
-  auto rel = LoadRelations(dir, args.GetBool("target", false), &pool);
+  auto rel = LoadRelations(dir, has_target, &pool);
   if (!rel.ok()) return FailStatus(rel.status());
-
-  gmm::GmmOptions opt;
-  opt.num_components = static_cast<size_t>(args.GetInt("k", 5));
-  opt.max_iters = static_cast<int>(args.GetInt("iters", 10));
-  opt.tol = args.GetDouble("tol", 0.0);
-  opt.temp_dir = dir;
-  opt.morsel_rows = args.GetMorselRows(0);
-  opt.steal = args.GetSteal(false);
-  opt.prefetch = args.GetPrefetch(false);
-  opt.prefetch_depth = args.GetPrefetchDepth(2);
-  opt.shards = args.GetShards(1);
-  opt.kernels = args.GetKernels() == "simd" ? la::KernelMode::kSimd
-                                             : la::KernelMode::kScalar;
-  opt.shard_backend = args.GetShardBackend("inproc");
-  opt.shard_timeout_ms = args.GetShardTimeoutMs(30000);
-  opt.shard_transport = args.GetShardTransport("unix");
-  opt.shard_worker_path = args.GetString("factormld", "");
-  opt.delta_encoding = args.GetDeltaEncoding("dense");
-  opt.checkpoint_dir = args.GetCheckpointDir("");
-  opt.checkpoint_every = args.GetCheckpointEvery(0);
+  static_cast<core::RuntimeOptions&>(opt) =
+      core::RuntimeOptionsFromFlags(args, opt.batch_rows);
   auto algos = ParseAlgos(args.GetString("algo", "all"));
   if (!algos.ok()) return FailStatus(algos.status());
   for (const auto algo : algos.value()) {
     pool.Clear();
     core::TrainReport report;
-    auto params = core::TrainGmm(rel.value(), opt, algo, &pool, &report);
-    if (!params.ok()) return FailStatus(params.status());
+    auto trained = train(rel.value(), opt, algo, &pool, &report);
+    if (!trained.ok()) return FailStatus(trained.status());
     std::printf("%s\n", report.ToString().c_str());
   }
   return 0;
 }
 
-int CmdTrainNn(const ArgParser& args) {
-  const std::string dir = args.GetString("dir", "");
-  if (dir.empty()) return Fail("train-nn requires --dir");
-  storage::BufferPool pool(
-      static_cast<size_t>(args.GetBufferPages(8192)));
-  auto rel = LoadRelations(dir, /*has_target=*/true, &pool);
-  if (!rel.ok()) return FailStatus(rel.status());
+int CmdTrainGmm(const ArgParser& args) {
+  gmm::GmmOptions opt;
+  opt.num_components = static_cast<size_t>(args.GetInt("k", 5));
+  opt.max_iters = static_cast<int>(args.GetInt("iters", 10));
+  opt.tol = args.GetDouble("tol", 0.0);
+  return RunTrainCommand(args, "train-gmm", args.GetBool("target", false),
+                         opt, core::TrainGmm);
+}
 
+int CmdTrainNn(const ArgParser& args) {
   nn::NnOptions opt;
   opt.hidden = {static_cast<size_t>(args.GetInt("nh", 50))};
   opt.epochs = static_cast<int>(args.GetInt("epochs", 10));
   opt.learning_rate = args.GetDouble("lr", 0.05);
-  opt.batch_rows = static_cast<size_t>(args.GetInt("batch", 1024));
   opt.shuffle = args.GetBool("shuffle", false);
   opt.hidden_dropout = args.GetDouble("dropout", 0.0);
   opt.momentum = args.GetDouble("momentum", 0.0);
   opt.weight_decay = args.GetDouble("weight_decay", 0.0);
-  opt.temp_dir = dir;
-  opt.morsel_rows = args.GetMorselRows(0);
-  opt.steal = args.GetSteal(false);
-  opt.prefetch = args.GetPrefetch(false);
-  opt.prefetch_depth = args.GetPrefetchDepth(2);
-  opt.shards = args.GetShards(1);
-  opt.kernels = args.GetKernels() == "simd" ? la::KernelMode::kSimd
-                                             : la::KernelMode::kScalar;
-  opt.shard_backend = args.GetShardBackend("inproc");
-  opt.shard_timeout_ms = args.GetShardTimeoutMs(30000);
-  opt.shard_transport = args.GetShardTransport("unix");
-  opt.shard_worker_path = args.GetString("factormld", "");
-  opt.delta_encoding = args.GetDeltaEncoding("dense");
-  opt.checkpoint_dir = args.GetCheckpointDir("");
-  opt.checkpoint_every = args.GetCheckpointEvery(0);
   const std::string act = args.GetString("act", "sigmoid");
   if (act == "tanh") opt.activation = nn::Activation::kTanh;
   else if (act == "relu") opt.activation = nn::Activation::kRelu;
@@ -344,137 +322,35 @@ int CmdTrainNn(const ArgParser& args) {
     return Fail("unknown --act '" + act +
                 "' (valid: sigmoid, tanh, relu, identity)");
   }
-
-  auto algos = ParseAlgos(args.GetString("algo", "all"));
-  if (!algos.ok()) return FailStatus(algos.status());
-  for (const auto algo : algos.value()) {
-    pool.Clear();
-    core::TrainReport report;
-    auto mlp = core::TrainNn(rel.value(), opt, algo, &pool, &report);
-    if (!mlp.ok()) return FailStatus(mlp.status());
-    std::printf("%s\n", report.ToString().c_str());
-  }
-  return 0;
+  return RunTrainCommand(args, "train-nn", /*has_target=*/true, opt,
+                         core::TrainNn);
 }
 
 int CmdTrainLinreg(const ArgParser& args) {
-  const std::string dir = args.GetString("dir", "");
-  if (dir.empty()) return Fail("train-linreg requires --dir");
-  storage::BufferPool pool(
-      static_cast<size_t>(args.GetBufferPages(8192)));
-  auto rel = LoadRelations(dir, /*has_target=*/true, &pool);
-  if (!rel.ok()) return FailStatus(rel.status());
-
   linreg::LinregOptions opt;
   opt.l2 = args.GetDouble("l2", 1e-3);
   opt.intercept = !args.GetBool("no_intercept", false);
-  opt.batch_rows = static_cast<size_t>(args.GetInt("batch", 8192));
-  opt.temp_dir = dir;
-  opt.morsel_rows = args.GetMorselRows(0);
-  opt.steal = args.GetSteal(false);
-  opt.prefetch = args.GetPrefetch(false);
-  opt.prefetch_depth = args.GetPrefetchDepth(2);
-  opt.shards = args.GetShards(1);
-  opt.kernels = args.GetKernels() == "simd" ? la::KernelMode::kSimd
-                                             : la::KernelMode::kScalar;
-  opt.shard_backend = args.GetShardBackend("inproc");
-  opt.shard_timeout_ms = args.GetShardTimeoutMs(30000);
-  opt.shard_transport = args.GetShardTransport("unix");
-  opt.shard_worker_path = args.GetString("factormld", "");
-  opt.delta_encoding = args.GetDeltaEncoding("dense");
-  opt.checkpoint_dir = args.GetCheckpointDir("");
-  opt.checkpoint_every = args.GetCheckpointEvery(0);
-  auto algos = ParseAlgos(args.GetString("algo", "all"));
-  if (!algos.ok()) return FailStatus(algos.status());
-  for (const auto algo : algos.value()) {
-    pool.Clear();
-    core::TrainReport report;
-    auto model = core::TrainLinreg(rel.value(), opt, algo, &pool, &report);
-    if (!model.ok()) return FailStatus(model.status());
-    std::printf("%s\n", report.ToString().c_str());
-  }
-  return 0;
+  return RunTrainCommand(args, "train-linreg", /*has_target=*/true, opt,
+                         core::TrainLinreg);
 }
 
 int CmdTrainKmeans(const ArgParser& args) {
-  const std::string dir = args.GetString("dir", "");
-  if (dir.empty()) return Fail("train-kmeans requires --dir");
-  storage::BufferPool pool(
-      static_cast<size_t>(args.GetBufferPages(8192)));
-  auto rel = LoadRelations(dir, args.GetBool("target", false), &pool);
-  if (!rel.ok()) return FailStatus(rel.status());
-
   kmeans::KmeansOptions opt;
   opt.num_clusters = static_cast<size_t>(args.GetInt("k", 5));
   opt.max_iters = static_cast<int>(args.GetInt("iters", 10));
   opt.tol = args.GetDouble("tol", 0.0);
-  opt.batch_rows = static_cast<size_t>(args.GetInt("batch", 8192));
-  opt.temp_dir = dir;
-  opt.morsel_rows = args.GetMorselRows(0);
-  opt.steal = args.GetSteal(false);
-  opt.prefetch = args.GetPrefetch(false);
-  opt.prefetch_depth = args.GetPrefetchDepth(2);
-  opt.shards = args.GetShards(1);
-  opt.kernels = args.GetKernels() == "simd" ? la::KernelMode::kSimd
-                                             : la::KernelMode::kScalar;
-  opt.shard_backend = args.GetShardBackend("inproc");
-  opt.shard_timeout_ms = args.GetShardTimeoutMs(30000);
-  opt.shard_transport = args.GetShardTransport("unix");
-  opt.shard_worker_path = args.GetString("factormld", "");
-  opt.delta_encoding = args.GetDeltaEncoding("dense");
-  opt.checkpoint_dir = args.GetCheckpointDir("");
-  opt.checkpoint_every = args.GetCheckpointEvery(0);
-  auto algos = ParseAlgos(args.GetString("algo", "all"));
-  if (!algos.ok()) return FailStatus(algos.status());
-  for (const auto algo : algos.value()) {
-    pool.Clear();
-    core::TrainReport report;
-    auto model = core::TrainKmeans(rel.value(), opt, algo, &pool, &report);
-    if (!model.ok()) return FailStatus(model.status());
-    std::printf("%s\n", report.ToString().c_str());
-  }
-  return 0;
+  return RunTrainCommand(args, "train-kmeans", args.GetBool("target", false),
+                         opt, core::TrainKmeans);
 }
 
 int CmdTrainLogreg(const ArgParser& args) {
-  const std::string dir = args.GetString("dir", "");
-  if (dir.empty()) return Fail("train-logreg requires --dir");
-  storage::BufferPool pool(
-      static_cast<size_t>(args.GetBufferPages(8192)));
-  auto rel = LoadRelations(dir, /*has_target=*/true, &pool);
-  if (!rel.ok()) return FailStatus(rel.status());
-
   logreg::LogregOptions opt;
   opt.l2 = args.GetDouble("l2", 1e-3);
   opt.intercept = !args.GetBool("no_intercept", false);
   opt.max_iters = static_cast<int>(args.GetInt("iters", 4));
   opt.tol = args.GetDouble("tol", 0.0);
-  opt.batch_rows = static_cast<size_t>(args.GetInt("batch", 8192));
-  opt.temp_dir = dir;
-  opt.morsel_rows = args.GetMorselRows(0);
-  opt.steal = args.GetSteal(false);
-  opt.prefetch = args.GetPrefetch(false);
-  opt.prefetch_depth = args.GetPrefetchDepth(2);
-  opt.shards = args.GetShards(1);
-  opt.kernels = args.GetKernels() == "simd" ? la::KernelMode::kSimd
-                                             : la::KernelMode::kScalar;
-  opt.shard_backend = args.GetShardBackend("inproc");
-  opt.shard_timeout_ms = args.GetShardTimeoutMs(30000);
-  opt.shard_transport = args.GetShardTransport("unix");
-  opt.shard_worker_path = args.GetString("factormld", "");
-  opt.delta_encoding = args.GetDeltaEncoding("dense");
-  opt.checkpoint_dir = args.GetCheckpointDir("");
-  opt.checkpoint_every = args.GetCheckpointEvery(0);
-  auto algos = ParseAlgos(args.GetString("algo", "all"));
-  if (!algos.ok()) return FailStatus(algos.status());
-  for (const auto algo : algos.value()) {
-    pool.Clear();
-    core::TrainReport report;
-    auto model = core::TrainLogreg(rel.value(), opt, algo, &pool, &report);
-    if (!model.ok()) return FailStatus(model.status());
-    std::printf("%s\n", report.ToString().c_str());
-  }
-  return 0;
+  return RunTrainCommand(args, "train-logreg", /*has_target=*/true, opt,
+                         core::TrainLogreg);
 }
 
 /// Unified entry point: `train --model=<family>` dispatches to the family

@@ -29,7 +29,6 @@
 #include "gmm/trainers.h"
 #include "join/normalized_relations.h"
 #include "kmeans/kmeans.h"
-#include "la/kernels.h"
 #include "linreg/linreg.h"
 #include "logreg/logreg.h"
 #include "net/frame.h"
@@ -126,24 +125,12 @@ Status RunWorker(net::FrameConn& conn, int64_t worker_id) {
   FML_ASSIGN_OR_RETURN(core::Algorithm algorithm,
                        AlgorithmFromPrefix(spec.algorithm));
 
-  pipeline::StrategyOptions sopt;
-  sopt.batch_rows = spec.batch_rows;
-  sopt.threads = static_cast<int>(spec.threads);
-  sopt.morsel_rows = spec.morsel_rows;
-  sopt.steal = spec.steal;
-  sopt.prefetch = spec.prefetch;
-  sopt.prefetch_depth = static_cast<int>(spec.prefetch_depth);
-  sopt.shards = static_cast<int>(spec.shards);
-  sopt.kernels = static_cast<la::KernelMode>(spec.kernels);
-  sopt.temp_dir = spec.temp_dir;
-  sopt.shard_timeout_ms = spec.shard_timeout_ms;
-  sopt.delta_encoding = spec.delta_encoding;
-  // Workers restore from an existing checkpoint (so a resumed coordinator
-  // and its workers agree on the starting iteration) but never write one
-  // — the coordinator owns the write path.
-  sopt.checkpoint_dir = spec.checkpoint_dir;
-  sopt.checkpoint_every = spec.checkpoint_every;
-
+  // The coordinator's runtime knobs; temp_dir already names this
+  // worker's private subdirectory. With shard_channel set, RunTraining
+  // restores from an existing checkpoint (so a resumed coordinator and its
+  // workers agree on the starting iteration) but never writes one — the
+  // coordinator owns the write path.
+  pipeline::StrategyOptions sopt(spec);
   pipeline::ShardWorkerLink link(&conn, worker_id);
   sopt.shard_channel = &link;
 
