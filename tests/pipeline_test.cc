@@ -140,6 +140,220 @@ TEST(PipelineSeedRegressionTest, NnTrainersReproduceSeedOutputs) {
   }
 }
 
+// Linear models have no seed trainer of their own to pin against, so these
+// goldens pin the scalar work stream linreg and logreg replayed before
+// they shared one weighted Gram/cofactor core: per run the objective, op
+// counts, page I/O and every coefficient. Captured with --kernels=scalar
+// at --threads=1 (gcc, x86-64, glibc). The coefficients compare exactly;
+// the objective keeps ExpectGolden's last-ulps tolerance.
+struct LinearGolden {
+  Golden run;
+  double bias;
+  std::vector<double> w;
+};
+
+template <typename Model>
+void ExpectLinearGolden(const core::TrainReport& r, const Model& m,
+                        const LinearGolden& g) {
+  ExpectGolden(r, g.run);
+  Model pinned;
+  pinned.w = g.w;
+  pinned.bias = g.bias;
+  ASSERT_EQ(m.w.size(), pinned.w.size()) << r.algorithm;
+  EXPECT_EQ(Model::MaxAbsDiff(m, pinned), 0.0) << r.algorithm;
+}
+
+TEST(PipelineSeedRegressionTest, LinregAndLogregReproduceParentOutputs) {
+  // Order: dataset (single join, then a second attribute table that
+  // exercises the multi-way cross blocks) x family (linreg, logreg) x
+  // intercept (on, off) x M/S/F.
+  const LinearGolden golden[24] = {
+      // single, linreg, intercept on
+      {{0x1.7eb3d6525658cp-7, 243401, 249301, 2, 0, 49, 32},
+       -0x1.3ef448e3587f9p-3,
+       {0x1.425af98b79f46p-5, 0x1.beb461c3310dfp-6, -0x1.7eecec0e244a1p-4,
+        0x1.82b3cda5761c8p-4, -0x1.166bc95ecf51cp-4, -0x1.4e6ba3190f689p-2,
+        -0x1.ac82a82d36609p-4, -0x1.ea6bb44b4fbacp-6}},
+      {{0x1.7eb3d6525658cp-7, 243401, 249301, 2, 0, 19, 0},
+       -0x1.3ef448e3587f9p-3,
+       {0x1.425af98b79f46p-5, 0x1.beb461c3310dfp-6, -0x1.7eecec0e244a1p-4,
+        0x1.82b3cda5761c8p-4, -0x1.166bc95ecf51cp-4, -0x1.4e6ba3190f689p-2,
+        -0x1.ac82a82d36609p-4, -0x1.ea6bb44b4fbacp-6}},
+      {{0x1.7eb3d65257852p-7, 59721, 56501, 2, 0, 19, 0},
+       -0x1.3ef448e357974p-3,
+       {0x1.425af98b79af9p-5, 0x1.beb461c330105p-6, -0x1.7eecec0e23f61p-4,
+        0x1.82b3cda576265p-4, -0x1.166bc95ecf25cp-4, -0x1.4e6ba3190f178p-2,
+        -0x1.ac82a82d35abcp-4, -0x1.ea6bb44b51c34p-6}},
+      // single, linreg, intercept off
+      {{0x1.93c0cc251d92cp-7, 243310, 219229, 2, 0, 49, 32},
+       0x0p+0,
+       {0x1.0986916d39a3p-5, 0x1.037370dd72053p-6, -0x1.3f3065e59e306p-4,
+        0x1.b47e7c68b66f7p-4, -0x1.7b54a5f0adfcfp-4, -0x1.43e4a1a8e98c2p-2,
+        -0x1.9c97121cb371cp-4, -0x1.03d407ab5ed8bp-5}},
+      {{0x1.93c0cc251d92cp-7, 243310, 219229, 2, 0, 19, 0},
+       0x0p+0,
+       {0x1.0986916d39a3p-5, 0x1.037370dd72053p-6, -0x1.3f3065e59e306p-4,
+        0x1.b47e7c68b66f7p-4, -0x1.7b54a5f0adfcfp-4, -0x1.43e4a1a8e98c2p-2,
+        -0x1.9c97121cb371cp-4, -0x1.03d407ab5ed8bp-5}},
+      {{0x1.93c0cc251ea12p-7, 59430, 56029, 2, 0, 19, 0},
+       0x0p+0,
+       {0x1.0986916d398b7p-5, 0x1.037370dd719cap-6, -0x1.3f3065e59e0ebp-4,
+        0x1.b47e7c68b654bp-4, -0x1.7b54a5f0ad938p-4, -0x1.43e4a1a8e9481p-2,
+        -0x1.9c97121cb2d56p-4, -0x1.03d407ab5fc12p-5}},
+      // single, logreg, intercept on
+      {{-0x1.1ff91c3ea9205p+2, 1225204, 1116808, 36036, 12000, 49, 32},
+       -0x1.003cac5e0cac9p+23,
+       {0x1.817b38b6002adp+18, 0x1.0fbe1f870a5fdp+18, -0x1.e0a9d42f1e728p+19,
+        0x1.4641fcb642ddfp+20, -0x1.01cce06767fefp+19, -0x1.264403a18c189p+21,
+        -0x1.c1887beb00367p+19, -0x1.57cd607a47eacp+20}},
+      {{-0x1.1ff91c3ea9205p+2, 1225204, 1116808, 36036, 12000, 19, 0},
+       -0x1.003cac5e0cac9p+23,
+       {0x1.817b38b6002adp+18, 0x1.0fbe1f870a5fdp+18, -0x1.e0a9d42f1e728p+19,
+        0x1.4641fcb642ddfp+20, -0x1.01cce06767fefp+19, -0x1.264403a18c189p+21,
+        -0x1.c1887beb00367p+19, -0x1.57cd607a47eacp+20}},
+      {{-0x1.1ff91c3ea8d8bp+2, 323284, 298408, 36036, 12000, 19, 0},
+       -0x1.003cac5d86118p+23,
+       {0x1.817b38b52e343p+18, 0x1.0fbe1f86731a6p+18, -0x1.e0a9d42e1ec1bp+19,
+        0x1.4641fcb594fd6p+20, -0x1.01cce066dbbf2p+19, -0x1.264403a0eeeefp+21,
+        -0x1.c1887bea1142cp+19, -0x1.57cd607995761p+20}},
+      // single, logreg, intercept off
+      {{-0x1.1ae585030a489p+2, 1116916, 996596, 36032, 12000, 49, 32},
+       0x0p+0,
+       {0x1.e19f06777e27cp+16, -0x1.594f7af77f6ebp+16, -0x1.991c62e1b76cfp+17,
+        0x1.8f5079da0ce5ep+20, -0x1.5cc9df043bf02p+20, -0x1.3d4f58668db73p+20,
+        -0x1.338b7533af979p+18, -0x1.ac592171211a6p+19}},
+      {{-0x1.1ae585030a489p+2, 1116916, 996596, 36032, 12000, 19, 0},
+       0x0p+0,
+       {0x1.e19f06777e27cp+16, -0x1.594f7af77f6ebp+16, -0x1.991c62e1b76cfp+17,
+        0x1.8f5079da0ce5ep+20, -0x1.5cc9df043bf02p+20, -0x1.3d4f58668db73p+20,
+        -0x1.338b7533af979p+18, -0x1.ac592171211a6p+19}},
+      {{-0x1.1ae585030a3e7p+2, 322196, 296596, 36032, 12000, 19, 0},
+       0x0p+0,
+       {0x1.e19f0676f53b8p+16, -0x1.594f7af76b98bp+16, -0x1.991c62e12660fp+17,
+        0x1.8f5079d9cdc1dp+20, -0x1.5cc9df040387bp+20, -0x1.3d4f586665294p+20,
+        -0x1.338b75338a0d1p+18, -0x1.ac592170ea801p+19}},
+      // two-way, linreg, intercept on
+      {{0x1.c708d7406cfa3p-3, 363629, 369485, 2, 0, 59, 38},
+       0x1.ab9d2284866cep-2,
+       {-0x1.115eda19e383fp-3, 0x1.8fdf08803add4p-5, 0x1.3217fd43dc39ap-5,
+        0x1.0affb6db38352p-4, -0x1.5f75eb5b403c9p-10, 0x1.f50da67d7e659p-5,
+        -0x1.440073dc6cf6bp-3, -0x1.e294eec776d4ap-6, -0x1.a74a53306c0d6p-3,
+        0x1.2341c95811058p-1}},
+      {{0x1.c708d7406cfa3p-3, 363629, 369485, 2, 0, 23, 0},
+       0x1.ab9d2284866cep-2,
+       {-0x1.115eda19e383fp-3, 0x1.8fdf08803add4p-5, 0x1.3217fd43dc39ap-5,
+        0x1.0affb6db38352p-4, -0x1.5f75eb5b403c9p-10, 0x1.f50da67d7e659p-5,
+        -0x1.440073dc6cf6bp-3, -0x1.e294eec776d4ap-6, -0x1.a74a53306c0d6p-3,
+        0x1.2341c95811058p-1}},
+      {{0x1.c708d7406d0dp-3, 114234, 101895, 2, 0, 23, 0},
+       0x1.ab9d228486a08p-2,
+       {-0x1.115eda19e3797p-3, 0x1.8fdf08803ae8ep-5, 0x1.3217fd43dc285p-5,
+        0x1.0affb6db38dcbp-4, -0x1.5f75eb5b48dd8p-10, 0x1.f50da67d7f639p-5,
+        -0x1.440073dc6cb18p-3, -0x1.e294eec77736p-6, -0x1.a74a53306bfb1p-3,
+        0x1.2341c95810fe5p-1}},
+      // two-way, linreg, intercept off
+      {{0x1.d1f2014f98927p-3, 363507, 333386, 2, 0, 59, 38},
+       0x0p+0,
+       {-0x1.a574a0be20bf8p-4, 0x1.01d37438b9241p-4, 0x1.741bb2e601ebbp-6,
+        0x1.c07a295603b7ap-6, 0x1.324000a3fde98p-4, 0x1.06d118ebe6e1ep-5,
+        -0x1.58171db05c10ap-3, -0x1.99f8e5ba1a02bp-6, -0x1.b2d5fe571ae51p-3,
+        0x1.248ed016aaf63p-1}},
+      {{0x1.d1f2014f98927p-3, 363507, 333386, 2, 0, 23, 0},
+       0x0p+0,
+       {-0x1.a574a0be20bf8p-4, 0x1.01d37438b9241p-4, 0x1.741bb2e601ebbp-6,
+        0x1.c07a295603b7ap-6, 0x1.324000a3fde98p-4, 0x1.06d118ebe6e1ep-5,
+        -0x1.58171db05c10ap-3, -0x1.99f8e5ba1a02bp-6, -0x1.b2d5fe571ae51p-3,
+        0x1.248ed016aaf63p-1}},
+      {{0x1.d1f2014f98a5ep-3, 113882, 101366, 2, 0, 23, 0},
+       0x0p+0,
+       {-0x1.a574a0be20a45p-4, 0x1.01d37438b932dp-4, 0x1.741bb2e601a3fp-6,
+        0x1.c07a29560610ap-6, 0x1.324000a3fe058p-4, 0x1.06d118ebe828fp-5,
+        -0x1.58171db05bbfp-3, -0x1.99f8e5ba1aab5p-6, -0x1.b2d5fe571ad3ep-3,
+        0x1.248ed016aaef3p-1}},
+      // two-way, logreg, intercept on
+      {{-0x1.6aa13ffd8f459p+4, 1753940, 1621368, 36044, 12000, 59, 38},
+       -0x1.b8f919e64dbcfp+32,
+       {-0x1.b83c575a22a38p+19, 0x1.f438f0d753154p+19, 0x1.11f4274e56be7p+20,
+        0x1.a5b9e8e4f0db5p+21, 0x1.8b716ff7b0561p+20, 0x1.7a1749ee5bc8ap+21,
+        -0x1.bb15ed0ebd73fp+22, -0x1.297413a4c7e18p+20, 0x1.9b9df010d457p+17,
+        0x1.0d27367ad3fabp+21}},
+      {{-0x1.6aa13ffd8f459p+4, 1753940, 1621368, 36044, 12000, 23, 0},
+       -0x1.b8f919e64dbcfp+32,
+       {-0x1.b83c575a22a38p+19, 0x1.f438f0d753154p+19, 0x1.11f4274e56be7p+20,
+        0x1.a5b9e8e4f0db5p+21, 0x1.8b716ff7b0561p+20, 0x1.7a1749ee5bc8ap+21,
+        -0x1.bb15ed0ebd73fp+22, -0x1.297413a4c7e18p+20, 0x1.9b9df010d457p+17,
+        0x1.0d27367ad3fabp+21}},
+      {{-0x1.6aa13ffd8f459p+4, 541280, 491928, 36044, 12000, 23, 0},
+       -0x1.b8f919e64de1fp+32,
+       {-0x1.b83c575a2245cp+19, 0x1.f438f0d753103p+19, 0x1.11f4274e56a15p+20,
+        0x1.a5b9e8e4f0e71p+21, 0x1.8b716ff7b0892p+20, 0x1.7a1749ee5bc63p+21,
+        -0x1.bb15ed0ebd80bp+22, -0x1.297413a4c7f95p+20, 0x1.9b9df010d3989p+17,
+        0x1.0d27367ad4045p+21}},
+      // two-way, logreg, intercept off
+      {{-0x1.6b08f4cee87a2p+4, 1621544, 1477064, 36040, 12000, 59, 38},
+       0x0p+0,
+       {-0x1.ab676818ff04dp+22, 0x1.345f58531caf1p+21, 0x1.70399627bd5dfp+22,
+        0x1.8cb03ae508476p+22, -0x1.d5c4befaec9bdp+21, 0x1.cc500d8f4581ap+22,
+        -0x1.6d1945924a9bap+23, -0x1.f7db26cc9e694p+17, 0x1.7204b4d4eed2cp+21,
+        0x1.6795dd0e4442fp+21}},
+      {{-0x1.6b08f4cee87a2p+4, 1621544, 1477064, 36040, 12000, 23, 0},
+       0x0p+0,
+       {-0x1.ab676818ff04dp+22, 0x1.345f58531caf1p+21, 0x1.70399627bd5dfp+22,
+        0x1.8cb03ae508476p+22, -0x1.d5c4befaec9bdp+21, 0x1.cc500d8f4581ap+22,
+        -0x1.6d1945924a9bap+23, -0x1.f7db26cc9e694p+17, 0x1.7204b4d4eed2cp+21,
+        0x1.6795dd0e4442fp+21}},
+      {{-0x1.6b08f4cee87a2p+4, 539964, 489904, 36040, 12000, 23, 0},
+       0x0p+0,
+       {-0x1.ab676818ff1a2p+22, 0x1.345f58531cbcap+21, 0x1.70399627bd6ebp+22,
+        0x1.8cb03ae5085bfp+22, -0x1.d5c4befaecb08p+21, 0x1.cc500d8f45976p+22,
+        -0x1.6d1945924aac5p+23, -0x1.f7db26cc9e94fp+17, 0x1.7204b4d4eee61p+21,
+        0x1.6795dd0e44545p+21}},
+  };
+  size_t next = 0;
+  for (const bool multiway : {false, true}) {
+    TempDir dir;
+    BufferPool pool(512);
+    auto spec = Spec(dir.str(), true);
+    if (multiway) spec.attrs.push_back(data::AttributeSpec{15, 2});
+    auto rel = std::move(GenerateSynthetic(spec, &pool)).value();
+    for (const bool logistic : {false, true}) {
+      for (const bool intercept : {true, false}) {
+        for (const auto algo : kAll) {
+          SCOPED_TRACE(::testing::Message()
+                       << (multiway ? "two-way " : "single ")
+                       << (logistic ? "logreg " : "linreg ")
+                       << (intercept ? "intercept" : "no-intercept"));
+          const LinearGolden& g = golden[next++];
+          pool.Clear();
+          core::TrainReport report;
+          if (logistic) {
+            logreg::LogregOptions opt;
+            opt.intercept = intercept;
+            opt.kernels = la::KernelMode::kScalar;
+            opt.batch_rows = 256;
+            opt.temp_dir = dir.str();
+            opt.threads = 1;
+            auto m = core::TrainLogreg(rel, opt, algo, &pool, &report);
+            ASSERT_TRUE(m.ok()) << m.status().ToString();
+            ExpectLinearGolden(report, m.value(), g);
+          } else {
+            linreg::LinregOptions opt;
+            opt.intercept = intercept;
+            opt.kernels = la::KernelMode::kScalar;
+            opt.batch_rows = 256;
+            opt.temp_dir = dir.str();
+            opt.threads = 1;
+            auto m = core::TrainLinreg(rel, opt, algo, &pool, &report);
+            ASSERT_TRUE(m.ok()) << m.status().ToString();
+            ExpectLinearGolden(report, m.value(), g);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(next, 24u);
+}
+
 // ------------------------------------------------------- linreg parity
 
 class LinregParityTest : public ::testing::TestWithParam<int> {};
@@ -1487,6 +1701,25 @@ TEST(CheckpointTest, GmmResumeIsBitIdenticalAcrossStrategies) {
   for (const auto algo : kAll) {
     ExpectResumeParity(rel, opt, 4, algo, &pool, core::TrainGmm,
                        gmm::GmmParams::MaxAbsDiff, &opt.max_iters, "gmm");
+  }
+}
+
+TEST(CheckpointTest, LogregResumeIsBitIdenticalAcrossStrategies) {
+  // The iteration state is beta and the objective; the weighted normal
+  // equations are rebuilt by every pass, so a resumed run replays the
+  // uninterrupted one from the restored beta.
+  TempDir dir;
+  BufferPool pool(512);
+  auto rel =
+      std::move(GenerateSynthetic(Spec(dir.str(), true), &pool)).value();
+  logreg::LogregOptions opt;
+  opt.batch_rows = 256;
+  opt.temp_dir = dir.str();
+  opt.threads = 1;
+  for (const auto algo : kAll) {
+    ExpectResumeParity(rel, opt, 4, algo, &pool, core::TrainLogreg,
+                       logreg::LogregModel::MaxAbsDiff, &opt.max_iters,
+                       "logreg");
   }
 }
 
