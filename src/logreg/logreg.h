@@ -24,14 +24,13 @@ namespace factorml::logreg {
 /// (iteratively reweighted least squares). Each iteration is one full pass
 /// that accumulates the *weighted* Gram matrix A = X^T W X and working
 /// response b = X^T W z (W = diag(p(1-p)), z the IRLS working response),
-/// then solves (A + l2*I) beta = b — exactly linear regression's
-/// Gram/cofactor pass with per-tuple weights, so the factorized path
-/// reuses linreg's deferred cofactor blocks: per fact tuple only the
-/// S slice and weighted per-rid masses are touched, and the S x Ri cross,
-/// Ri-diagonal and Ri-cofactor blocks collapse to one rank-1 update per
-/// *attribute* tuple at pass end. The per-row linear response itself is
-/// factorized too: eta = beta_S . xs + sum_i (beta_Ri . xr[rid_i]), with
-/// the per-rid dot products computed once per R tuple per pass.
+/// then solves (A + l2*I) beta = b. That pass is the weighted Gram/cofactor
+/// core linreg runs with unit weight (linreg/gram_program.h), so the
+/// factorized path defers the S x Ri cross, Ri-diagonal and Ri-cofactor
+/// blocks to one rank-1 update per *attribute* tuple at pass end. The
+/// per-row linear response is factorized too: eta = beta_S . xs +
+/// sum_i (beta_Ri . xr[rid_i]), with the per-rid dot products computed once
+/// per R tuple per pass.
 struct LogregOptions : core::RuntimeOptions {
   double l2 = 1e-3;           // ridge penalty (never applied to the bias)
   bool intercept = true;      // augment X with a constant-1 column
