@@ -24,7 +24,7 @@ int Main(int argc, char** argv) {
   const size_t k = static_cast<size_t>(args.GetInt("k", 5));
 
   BenchDir dir;
-  storage::BufferPool pool(static_cast<size_t>(args.GetInt("pool_pages", 2048)));
+  storage::BufferPool pool(static_cast<size_t>(args.GetBufferPages(2048)));
   gmm::GmmOptions opt;
   opt.num_components = k;
   opt.max_iters = iters;

@@ -44,7 +44,16 @@ double ArgParser::GetDouble(const std::string& key,
                             double default_value) const {
   auto it = kv_.find(key);
   if (it == kv_.end()) return default_value;
-  return std::strtod(it->second.c_str(), nullptr);
+  // Only the syntax is checked here: "nan", "inf" and out-of-range values
+  // parse, and each caller's option validation decides whether they fit.
+  char* end = nullptr;
+  const double value = std::strtod(it->second.c_str(), &end);
+  if (end == it->second.c_str() || *end != '\0') {
+    std::fprintf(stderr, "invalid --%s=%s (must be a number)\n", key.c_str(),
+                 it->second.c_str());
+    std::exit(2);
+  }
+  return value;
 }
 
 bool ArgParser::GetBool(const std::string& key, bool default_value) const {
@@ -195,7 +204,6 @@ std::string ArgParser::GetKernels(const std::string& default_value) const {
 
 int64_t ArgParser::GetBufferPages(int64_t default_value) const {
   auto it = kv_.find("buffer-pages");
-  if (it == kv_.end()) it = kv_.find("pool_pages");  // legacy spelling
   if (it == kv_.end()) return default_value < 1 ? 1 : default_value;
   errno = 0;
   char* end = nullptr;

@@ -75,10 +75,9 @@ class ArgParser {
   /// exits(2), listing the choices (like --steal/--prefetch).
   std::string GetKernels(const std::string& default_value = "scalar") const;
 
-  /// The shared `--buffer-pages=N` flag: buffer-pool capacity in pages
-  /// (the legacy spelling `--pool_pages` is still honored). Values < 1 or
-  /// non-integers are rejected with an error and exit(2); this is the
-  /// single validation point for every binary, like --threads.
+  /// The shared `--buffer-pages=N` flag: buffer-pool capacity in pages.
+  /// Values < 1 or non-integers are rejected with an error and exit(2);
+  /// this is the single validation point for every binary, like --threads.
   int64_t GetBufferPages(int64_t default_value) const;
 
   /// The shared `--trace=PATH` flag: span-trace output path for the obs/

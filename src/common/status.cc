@@ -20,6 +20,8 @@ const char* StatusCodeToString(StatusCode code) {
       return "OutOfRange";
     case StatusCode::kInternal:
       return "Internal";
+    case StatusCode::kAborted:
+      return "Aborted";
   }
   return "Unknown";
 }

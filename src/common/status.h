@@ -20,6 +20,9 @@ enum class StatusCode {
   kFailedPrecondition,
   kOutOfRange,
   kInternal,
+  /// The operation was abandoned and is to be retried from the top: the
+  /// shard plane's restart signal (core/pipeline/shard_rpc.h).
+  kAborted,
 };
 
 /// Returns a human-readable name for a status code ("OK", "IOError", ...).
@@ -59,6 +62,9 @@ class Status {
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
+  }
+  static Status Aborted(std::string msg) {
+    return Status(StatusCode::kAborted, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

@@ -33,8 +33,6 @@ namespace factorml::core::pipeline {
 
 namespace {
 
-constexpr const char* kRestartPrefix = "shard-restart: attempt ";
-
 int64_t NowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -172,13 +170,12 @@ std::string ResolveWorkerBinary(const std::string& explicit_path) {
 // ------------------------------------------------------------- sentinel
 
 Status ShardRestartStatus(uint32_t next_attempt) {
-  return Status::FailedPrecondition(kRestartPrefix +
-                                    std::to_string(next_attempt));
+  return Status::Aborted("shard-restart: attempt " +
+                         std::to_string(next_attempt));
 }
 
 bool IsShardRestart(const Status& status) {
-  return status.code() == StatusCode::kFailedPrecondition &&
-         status.message().rfind(kRestartPrefix, 0) == 0;
+  return status.code() == StatusCode::kAborted;
 }
 
 // ------------------------------------------------------------- job spec

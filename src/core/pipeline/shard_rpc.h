@@ -84,8 +84,9 @@ Result<ShardJobSpec> DecodeShardJobSpec(const std::string& bytes);
 
 /// The sentinel a ShardPassDriver returns when the current attempt must
 /// be abandoned and training rerun from scratch (non-recoverable worker
-/// death). RunTraining's retry loop catches it on the parent; factormld
-/// catches it on workers and reruns with a fresh program.
+/// death): a kAborted status, the only producer of that code. RunTraining's
+/// retry loop catches it on the parent; factormld catches it on workers and
+/// reruns with a fresh program.
 Status ShardRestartStatus(uint32_t next_attempt);
 bool IsShardRestart(const Status& status);
 

@@ -42,6 +42,8 @@ TEST(StatusTest, AllConstructorsProduceMatchingCodes) {
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(Status::OutOfRange("x").code(), StatusCode::kOutOfRange);
   EXPECT_EQ(Status::Internal("x").code(), StatusCode::kInternal);
+  EXPECT_EQ(Status::Aborted("x").code(), StatusCode::kAborted);
+  EXPECT_EQ(Status::Aborted("x").ToString(), "Aborted: x");
 }
 
 TEST(ResultTest, HoldsValue) {
@@ -342,6 +344,52 @@ TEST(FlagsDeathTest, GetIntListBadItemExits2) {
   ArgParser args(2, const_cast<char**>(argv));
   EXPECT_EXIT(args.GetIntList("rr", {}), ::testing::ExitedWithCode(2),
               "'abc' is not an integer");
+}
+
+// GetDouble read a malformed number as its numeric prefix, so
+// `--l2=abc` trained with l2 = 0 and `--lr=0.05x` with lr = 0.05.
+TEST(FlagsDeathTest, GetDoubleNonNumberExits2) {
+  const char* argv[] = {"prog", "--l2=abc"};
+  ArgParser args(2, const_cast<char**>(argv));
+  EXPECT_EXIT(args.GetDouble("l2", 1e-3), ::testing::ExitedWithCode(2),
+              "invalid --l2=abc");
+}
+
+TEST(FlagsDeathTest, GetDoubleTrailingGarbageExits2) {
+  const char* argv[] = {"prog", "--lr=0.05x"};
+  ArgParser args(2, const_cast<char**>(argv));
+  EXPECT_EXIT(args.GetDouble("lr", 0.1), ::testing::ExitedWithCode(2),
+              "invalid --lr=0.05x");
+}
+
+TEST(FlagsDeathTest, GetDoubleEmptyExits2) {
+  const char* argv[] = {"prog", "--tol="};
+  ArgParser args(2, const_cast<char**>(argv));
+  EXPECT_EXIT(args.GetDouble("tol", 0.0), ::testing::ExitedWithCode(2),
+              "invalid --tol=");
+}
+
+// Range is the caller's ValidateOptions' call: non-finite spellings and
+// exponents still parse, so `--l2=nan` exits 1 naming the option.
+TEST(FlagsTest, GetDoubleParsesNonFiniteAndExponents) {
+  const char* argv[] = {"prog", "--a=nan", "--b=-inf", "--c=1e-3",
+                        "--d=-2.5"};
+  ArgParser args(5, const_cast<char**>(argv));
+  EXPECT_TRUE(std::isnan(args.GetDouble("a", 0.0)));
+  EXPECT_EQ(args.GetDouble("b", 0.0), -HUGE_VAL);
+  EXPECT_EQ(args.GetDouble("c", 0.0), 1e-3);
+  EXPECT_EQ(args.GetDouble("d", 0.0), -2.5);
+}
+
+// Only `--buffer-pages` sets the pool size; the old `--pool_pages`
+// spelling is an unknown flag like any other.
+TEST(FlagsTest, BufferPagesHasOneSpelling) {
+  const char* argv[] = {"prog", "--pool_pages=7"};
+  ArgParser args(2, const_cast<char**>(argv));
+  EXPECT_EQ(args.GetBufferPages(2048), 2048);
+  const char* argv2[] = {"prog", "--buffer-pages=7"};
+  ArgParser args2(2, const_cast<char**>(argv2));
+  EXPECT_EQ(args2.GetBufferPages(2048), 7);
 }
 
 TEST(FlagsTest, GetIntNegativeStillParses) {

@@ -575,6 +575,11 @@ TEST(ShardRestartTest, SentinelRoundTrips) {
       Status::FailedPrecondition("recv timeout")));
   EXPECT_FALSE(
       core::pipeline::IsShardRestart(Status::Internal("shard-restart: ")));
+  // The signal is the status code, not the text: the old sentinel's
+  // spelling under another code is an ordinary error.
+  EXPECT_FALSE(core::pipeline::IsShardRestart(
+      Status::FailedPrecondition("shard-restart: attempt 2")));
+  EXPECT_EQ(restart.code(), StatusCode::kAborted);
 }
 
 }  // namespace
