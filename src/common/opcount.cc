@@ -4,13 +4,6 @@
 
 namespace factorml {
 
-namespace {
-thread_local OpCounters g_ops;
-}  // namespace
-
-OpCounters& GlobalOps() { return g_ops; }
-void ResetGlobalOps() { g_ops = OpCounters{}; }
-
 std::string OpCounters::ToString() const {
   std::ostringstream os;
   os << "mults=" << mults << " adds=" << adds << " subs=" << subs

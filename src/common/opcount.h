@@ -43,8 +43,12 @@ struct OpCounters {
 /// into the dispatching thread in worker order, so snapshot deltas taken on
 /// the dispatching thread (ReportScope) see the whole parallel run.
 /// Single-threaded callers observe the exact pre-existing semantics.
-OpCounters& GlobalOps();
-void ResetGlobalOps();
+/// Defined inline (constant-initialized, so no TLS init guard) so that
+/// every Count* call compiles to a thread-local add in the caller.
+inline thread_local OpCounters g_thread_ops;
+
+inline OpCounters& GlobalOps() { return g_thread_ops; }
+inline void ResetGlobalOps() { g_thread_ops = OpCounters{}; }
 
 inline void CountMults(uint64_t n) { GlobalOps().mults += n; }
 inline void CountAdds(uint64_t n) { GlobalOps().adds += n; }

@@ -16,6 +16,16 @@
 // one rank-1 update per *attribute* tuple — the classic cofactor
 // factorization of linear models over joins.
 //
+// Under --kernels=simd both paths run on column strips (AccumulateStrips,
+// AccumulateFactStrips). On the factorized strips the S-diagonal block
+// and S cofactor are strip kernels, logreg's eta a col-dot plus one rid
+// gather per table, and the FK1 group structure factors the table-0
+// work by run: the table-0 masses and every R1 x Rj cross block (j>=1)
+// are summed once per R1 tuple's run instead of once per fact tuple. The
+// masses of tables i>=1 and the Ri x Rj blocks with i>=1 have no FK1
+// structure and stay per tuple. Op counts are charged with the per-tuple
+// formulas either way, so they match the scalar plane exactly.
+//
 // A family passes its per-tuple weight and target to the Accumulate*
 // templates as a lambda, which inlines: the per-tuple and per-strip loops
 // gain no virtual call and no std::function.
@@ -25,6 +35,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "common/opcount.h"
@@ -212,8 +223,9 @@ class GramProgram : public core::pipeline::ModelProgram {
   }
 
   /// Batched (--kernels=simd) twin of AccumulateRows: whole column strips
-  /// through the la/ batch kernels. weigh(cols, rows, y, scalar) returns
-  /// the strip's weights (nullptr: unit weight) and w*z column. Each
+  /// through the la/ batch kernels. weigh(cols, ncols, rows, y, rids,
+  /// scalar) returns the strip's weights (nullptr: unit weight) and w*z
+  /// column; here cols holds all d features and rids is null. Each
   /// kernel call is charged the exact op-count stream of the per-row loop
   /// it replaces, so the measured counts are invariant across backends;
   /// only the summation order inside each accumulator entry moves.
@@ -232,8 +244,8 @@ class GramProgram : public core::pipeline::ModelProgram {
       if (rows == 0) continue;
       const uint64_t t0 = obs::NowMicros();
       for (size_t j = 0; j < d_; ++j) cols[j] = block.StripX(s, j);
-      const auto [w, wz] =
-          weigh(cols.data(), rows, block.StripY(s), acc.scalar);
+      const auto [w, wz] = weigh(cols.data(), d_, rows, block.StripY(s),
+                                 nullptr, acc.scalar);
       // A += X^T W X and b += X^T W z — the AddOuter/Axpy streams.
       kern.syrk_strip(cols.data(), d_, rows, w, acc.gram.data(),
                       acc.gram.cols());
@@ -304,10 +316,172 @@ class GramProgram : public core::pipeline::ModelProgram {
     }
   }
 
+  /// Batched (--kernels=simd) twin of AccumulateFacts over the driver's
+  /// S-slice strips and FK1 runs. weigh is AccumulateStrips', given the
+  /// ds S-slice columns and, in rids[i], the strip's table-i rids. The
+  /// S-diagonal block and S cofactor are strip kernels; the table-0 masses
+  /// and the R1 x Rj cross blocks are summed once per FK1 run (u_j =
+  /// sum_t w_t x_Rj[rid_j(t)], then one outer product with x_R1[rid1]);
+  /// the masses of tables i>=1 and the Ri x Rj blocks with i>=1 stay per
+  /// tuple. Op counts are charged per strip or run with the per-tuple
+  /// formulas of AccumulateFacts, so they match it under every schedule.
+  template <typename Weigh>
+  void AccumulateFactStrips(int worker,
+                            const core::pipeline::FactorizedBlock& block,
+                            Weigh&& weigh) {
+    Slot& acc = slots_[static_cast<size_t>(worker)];
+    static obs::Histogram* batch_micros =
+        obs::Registry::Instance().GetHistogram("la.batch_kernel_micros");
+    const storage::ColumnStrips& st = *block.s_strips;
+    const storage::RowBatch& s_rows = *block.s_rows;
+    const std::vector<join::JoinGroup>& groups = *block.groups;
+    const la::Kernels& kern = la::Active();
+    const size_t lda = acc.gram.cols();
+    const size_t dr0 = rel_->dr(0);
+    // Per-table rid columns of the block (uncharged index movement, like
+    // the scalar path's KeysOf reads).
+    std::vector<std::vector<int64_t>> rid_cols(q_);
+    for (auto& col : rid_cols) col.resize(s_rows.num_rows);
+    for (size_t r = 0; r < s_rows.num_rows; ++r) {
+      const int64_t* keys = s_rows.KeysOf(r);
+      for (size_t i = 0; i < q_; ++i) {
+        rid_cols[i][r] = keys[rel_->FkKeyIndex(i)];
+      }
+    }
+    std::vector<const double*> cols(ds_), run_cols(ds_);
+    std::vector<const int64_t*> rids(q_);
+    // The strip's gathered Rj rows (rows x drj, j>=1), the per-run
+    // weighted sums u_j, and unit weights for the run reduction.
+    std::vector<std::vector<double>> xr(q_), u(q_);
+    for (size_t j = 1; j < q_; ++j) {
+      const size_t drj = (*views_)[j].feats().cols();
+      xr[j].resize(st.strip_rows * drj);
+      u[j].resize(drj);
+    }
+    std::vector<double> ones(q_ > 1 ? st.strip_rows : 0, 1.0);
+    size_t first_group = 0;
+    for (size_t s = 0; s < st.num_strips; ++s) {
+      const size_t rows = st.RowsInStrip(s);
+      if (rows == 0) continue;
+      const uint64_t t0 = obs::NowMicros();
+      const size_t row0 = st.StripStart(s);
+      // kNeedsTarget: S feature column 0 is Y, the S slice follows it.
+      for (size_t j = 0; j < ds_; ++j) cols[j] = st.Col(s, 1 + j);
+      for (size_t i = 0; i < q_; ++i) rids[i] = rid_cols[i].data() + row0;
+      const auto [w, wz] =
+          weigh(cols.data(), ds_, rows, st.Col(s, 0), rids.data(), acc.scalar);
+      // S-diagonal block and S slice of b: the AddOuter/Axpy streams.
+      kern.syrk_strip(cols.data(), ds_, rows, w, acc.gram.data(), lda);
+      CountMults(rows * (ds_ * ds_ + ds_));
+      CountAdds(rows * ds_ * ds_);
+      kern.colsum_strip(cols.data(), ds_, rows, wz, acc.cvec.data());
+      CountMults(rows * ds_);
+      CountAdds(rows * ds_);
+      // Tables i>=1: per-tuple masses and Ri x Rj (j>i) cross blocks.
+      for (size_t i = 1; i < q_; ++i) {
+        const size_t dri = rel_->dr(i);
+        for (size_t r = 0; r < rows; ++r) {
+          const double wr = w != nullptr ? w[r] : 1.0;
+          kern.axpy(wr, s_rows.feats.Row(row0 + r).data() + 1,
+                    acc.wxsum[i].Row(static_cast<size_t>(rids[i][r])).data(),
+                    ds_);
+          const double* xr_i = (*views_)[i].FeaturesOf(rids[i][r]).data();
+          for (size_t j = i + 1; j < q_; ++j) {
+            kern.add_outer(wr, xr_i, dri,
+                           (*views_)[j].FeaturesOf(rids[j][r]).data(),
+                           rel_->dr(j),
+                           acc.gram.data() + attr_offset_[i] * lda +
+                               attr_offset_[j],
+                           lda);
+          }
+        }
+        kern.scatter_add_strip(rids[i], w, rows, acc.wsum[i].data());
+        kern.scatter_add_strip(rids[i], wz, rows, acc.wzsum[i].data());
+        CountMults(rows * ds_);
+        CountAdds(rows * (ds_ + 2));
+        for (size_t j = i + 1; j < q_; ++j) {
+          CountMults(rows * (dri * rel_->dr(j) + dri));
+          CountAdds(rows * dri * rel_->dr(j));
+        }
+      }
+      // Gather the strip's Rj rows once for the run reductions below.
+      for (size_t j = 1; j < q_; ++j) {
+        const la::Matrix& feats = (*views_)[j].feats();
+        const size_t drj = feats.cols();
+        std::fill(xr[j].begin(), xr[j].begin() + rows * drj, 0.0);
+        kern.gather_add_rows_strip(feats.data(), drj, rids[j], rows, drj,
+                                   xr[j].data(), drj);
+      }
+      // Table 0 per FK1 run: the masses land at the run's span-relative
+      // rid; each R1 x Rj cross block is one outer product per run.
+      while (first_group < groups.size() &&
+             groups[first_group].offset + groups[first_group].count <= row0) {
+        ++first_group;
+      }
+      for (size_t g = first_group;
+           g < groups.size() && groups[g].offset < row0 + rows; ++g) {
+        const size_t lo = std::max(groups[g].offset, row0);
+        const size_t hi =
+            std::min(groups[g].offset + groups[g].count, row0 + rows);
+        if (lo >= hi) continue;
+        const size_t rn = hi - lo;
+        const size_t ll = lo - row0;  // strip-local run start
+        const size_t arid = static_cast<size_t>(groups[g].rid) - acc.rid0;
+        const double* wrun = w != nullptr ? w + ll : nullptr;
+        for (size_t j = 0; j < ds_; ++j) run_cols[j] = cols[j] + ll;
+        kern.colsum_strip(run_cols.data(), ds_, rn, wrun,
+                          acc.wxsum[0].Row(arid).data());
+        if (wrun != nullptr) {
+          kern.colsum_strip(&wrun, 1, rn, nullptr, &acc.wsum[0][arid]);
+        } else {
+          acc.wsum[0][arid] += static_cast<double>(rn);
+        }
+        const double* wzrun = wz + ll;
+        kern.colsum_strip(&wzrun, 1, rn, nullptr, &acc.wzsum[0][arid]);
+        CountMults(rn * ds_);
+        CountAdds(rn * (ds_ + 2));
+        if (q_ < 2) continue;
+        const auto x1 = (*views_)[0].FeaturesOf(groups[g].rid);
+        for (size_t j = 1; j < q_; ++j) {
+          const size_t drj = u[j].size();
+          kern.gemm_strip(wrun != nullptr ? wrun : ones.data(), rn,
+                          xr[j].data() + ll * drj, drj, 1, drj, rn,
+                          u[j].data(), drj, /*trans_b=*/false,
+                          /*accumulate=*/false);
+          kern.add_outer(1.0, x1.data(), dr0, u[j].data(), drj,
+                         acc.gram.data() + attr_offset_[0] * lda +
+                             attr_offset_[j],
+                         lda);
+          CountMults(rn * (dr0 * drj + dr0));
+          CountAdds(rn * dr0 * drj);
+        }
+      }
+      batch_micros->Record(obs::NowMicros() - t0);
+    }
+  }
+
   /// Solves (A + l2*I) beta = b into `beta` (da entries, bias last and
-  /// unpenalized), jittering the diagonal if A is not quite SPD.
-  Status SolveRidge(double l2, std::vector<double>* beta) const {
-    la::Matrix a = merged_.gram;
+  /// unpenalized), jittering the diagonal if A is not quite SPD. Normal
+  /// equations with a non-finite entry (a nan/inf data cell, or a
+  /// diverged iterate) are OutOfRange, naming the family, the iteration
+  /// and the pass, instead of a Cholesky failure or a nan objective.
+  Status SolveRidge(int iter, double l2, std::vector<double>* beta) const {
+    const la::Matrix& gram = merged_.gram;
+    const bool finite =
+        std::isfinite(merged_.scalar) &&
+        std::all_of(gram.data(), gram.data() + gram.rows() * gram.cols(),
+                    [](double v) { return std::isfinite(v); }) &&
+        std::all_of(merged_.cvec.begin(), merged_.cvec.end(),
+                    [](double v) { return std::isfinite(v); });
+    if (!finite) {
+      return Status::OutOfRange(
+          std::string(Name()) +
+          ": normal equations are not finite after iteration " +
+          std::to_string(iter + 1) + " of " +
+          std::to_string(MaxIterations()) + " (" + PassName(0) +
+          " pass; check the data for nan/inf cells)");
+    }
+    la::Matrix a = gram;
     for (size_t j = 0; j < d_; ++j) a(j, j) += l2;
     la::Cholesky chol;
     FML_RETURN_IF_ERROR(chol.FactorWithJitter(a));

@@ -54,28 +54,24 @@ class LinregProgram final : public GramProgram {
       AccumulateRows</*kWeighted=*/false>(worker, block, kUnitWeight);
       return;
     }
-    AccumulateStrips(worker, block,
-                     [](const double* const*, size_t rows, const double* y,
-                        double& yy) {
-                       yy += la::Active().dot(y, y, rows);
-                       CountMults(rows);
-                       CountAdds(rows);
-                       return std::pair<const double*, const double*>(
-                           nullptr, y);
-                     });
+    AccumulateStrips(worker, block, kStripUnitWeight);
   }
 
   void AccumulateFactorized(int, int worker,
                             const FactorizedBlock& block) override {
-    AccumulateFacts(worker, block, kUnitWeight);
+    if (block.s_strips == nullptr) {
+      AccumulateFacts(worker, block, kUnitWeight);
+      return;
+    }
+    AccumulateFactStrips(worker, block, kStripUnitWeight);
   }
 
-  Result<bool> EndIteration(const PipelineContext& ctx, int) override {
+  Result<bool> EndIteration(const PipelineContext& ctx, int iter) override {
     // The closed-form Cholesky solve, reported as its own phase next to
     // the "gram" pass time.
     core::PhaseScope phase(ctx.report, "solve");
     std::vector<double> w_full;
-    FML_RETURN_IF_ERROR(SolveRidge(opt_.l2, &w_full));
+    FML_RETURN_IF_ERROR(SolveRidge(iter, opt_.l2, &w_full));
     model_.w.assign(w_full.begin(), w_full.begin() + static_cast<long>(d_));
     model_.bias = opt_.intercept ? w_full[da_ - 1] : 0.0;
     // SSE = w^T G w - 2 w^T c + sum(y^2), no further data pass needed.
@@ -109,6 +105,15 @@ class LinregProgram final : public GramProgram {
     CountAdds(1);
     return std::pair(1.0, y);
   };
+  /// kUnitWeight over one strip (either Accumulate*Strips template).
+  static constexpr auto kStripUnitWeight =
+      [](const double* const*, size_t, size_t rows, const double* y,
+         const int64_t* const*, double& yy) {
+        yy += la::Active().dot(y, y, rows);
+        CountMults(rows);
+        CountAdds(rows);
+        return std::pair<const double*, const double*>(nullptr, y);
+      };
 
   LinregModel model_;
   double sse_ = 0.0;

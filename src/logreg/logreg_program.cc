@@ -84,29 +84,8 @@ class LogregProgram final : public linreg::GramProgram {
   void AccumulateDense(int, int worker, const DenseBlock& block) override {
     const double bias = opt_.intercept ? beta_[d_] : 0.0;
     if (block.strips != nullptr) {
-      // The linear response goes through the batch kernels; Reweight
-      // stays per-row so the exp/log stream (and its op charges) is
-      // identical to the scalar path.
-      const size_t strip_rows = block.strips->strip_rows;
-      std::vector<double> eta(strip_rows), sw(strip_rows), sz(strip_rows);
-      AccumulateStrips(
-          worker, block,
-          [&](const double* const* cols, size_t rows, const double* y,
-              double& nll) {
-            // eta = X beta (+ bias) — the per-row Dot stream, batched.
-            la::Active().col_dot_strip(cols, d_, rows, beta_.data(),
-                                       eta.data());
-            CountMults(rows * d_);
-            CountAdds(rows * d_);
-            for (size_t r = 0; r < rows; ++r) {
-              const auto [s, z] = Reweight(eta[r] + bias, y[r], &nll);
-              sw[r] = s;
-              sz[r] = s * z;
-            }
-            CountMults(rows);  // the per-row s * z products
-            return std::pair<const double*, const double*>(sw.data(),
-                                                           sz.data());
-          });
+      StripWeigher weigh(this, block.strips->strip_rows);
+      AccumulateStrips(worker, block, weigh);
       return;
     }
     AccumulateRows</*kWeighted=*/true>(
@@ -121,6 +100,11 @@ class LogregProgram final : public linreg::GramProgram {
 
   void AccumulateFactorized(int, int worker,
                             const FactorizedBlock& block) override {
+    if (block.s_strips != nullptr) {
+      StripWeigher weigh(this, block.s_strips->strip_rows);
+      AccumulateFactStrips(worker, block, weigh);
+      return;
+    }
     const double bias = opt_.intercept ? beta_[d_] : 0.0;
     AccumulateFacts(
         worker, block,
@@ -138,12 +122,12 @@ class LogregProgram final : public linreg::GramProgram {
         });
   }
 
-  Result<bool> EndIteration(const PipelineContext& ctx, int) override {
+  Result<bool> EndIteration(const PipelineContext& ctx, int iter) override {
     // The per-iteration weighted-normal-equations solve, reported as its
     // own phase next to the "irls" pass time.
     core::PhaseScope phase(ctx.report, "solve");
     std::vector<double> beta_new;
-    FML_RETURN_IF_ERROR(SolveRidge(opt_.l2, &beta_new));
+    FML_RETURN_IF_ERROR(SolveRidge(iter, opt_.l2, &beta_new));
     double delta = 0.0;
     for (size_t j = 0; j < da_; ++j) {
       delta = std::max(delta, std::fabs(beta_new[j] - beta_[j]));
@@ -188,6 +172,48 @@ class LogregProgram final : public linreg::GramProgram {
     CountSubs(3);
     return {s, z};
   }
+
+  /// The strip weigh of both Accumulate*Strips templates: the linear
+  /// response goes through the batch kernels (col_dot_strip over the
+  /// strip's columns, plus one rid_dot_ gather per table on the
+  /// factorized path); Reweight stays per row so the exp/log stream and
+  /// its op charges are identical to the scalar path.
+  class StripWeigher {
+   public:
+    StripWeigher(const LogregProgram* p, size_t strip_rows)
+        : p_(p), eta_(strip_rows), sw_(strip_rows), sz_(strip_rows) {}
+
+    std::pair<const double*, const double*> operator()(
+        const double* const* cols, size_t ncols, size_t rows,
+        const double* y, const int64_t* const* rids, double& nll) {
+      // eta = X beta (+ bias) (+ beta_Ri . xr per table) — the per-row
+      // Dot stream, batched.
+      la::Active().col_dot_strip(cols, ncols, rows, p_->beta_.data(),
+                                 eta_.data());
+      CountMults(rows * ncols);
+      CountAdds(rows * ncols);
+      const double bias = p_->opt_.intercept ? p_->beta_[p_->d_] : 0.0;
+      for (size_t r = 0; r < rows; ++r) eta_[r] += bias;
+      if (rids != nullptr) {
+        for (size_t i = 0; i < p_->q_; ++i) {
+          la::Active().gather_add_strip(p_->rid_dot_[i].data(), rids[i], rows,
+                                        eta_.data());
+        }
+        CountAdds(rows * p_->q_);
+      }
+      for (size_t r = 0; r < rows; ++r) {
+        const auto [s, z] = p_->Reweight(eta_[r], y[r], &nll);
+        sw_[r] = s;
+        sz_[r] = s * z;
+      }
+      CountMults(rows);  // the per-row s * z products
+      return {sw_.data(), sz_.data()};
+    }
+
+   private:
+    const LogregProgram* p_;
+    std::vector<double> eta_, sw_, sz_;
+  };
 
   std::vector<double> beta_;  // da (bias last when intercept)
   std::vector<std::vector<double>> rid_dot_;  // [i][rid] beta_Ri . xr

@@ -17,19 +17,15 @@ const char* GitDescribe() {
 }
 
 RunManifest RunManifest::FromArgs(const std::string& binary,
-                                  const ArgParser& args) {
+                                  const ArgParser& args,
+                                  size_t default_batch_rows) {
   RunManifest m;
   m.binary = binary;
   m.git_describe = GitDescribe();
-  m.threads = args.GetThreads(1);
-  m.morsel_rows = args.GetMorselRows(0);
-  m.steal = args.GetSteal(false);
-  m.shards = args.GetShards(1);
-  m.prefetch = args.GetPrefetch(false);
-  m.prefetch_depth = args.GetPrefetchDepth(2);
-  m.kernels = args.GetKernels();
-  m.kernel_backend = m.kernels == "simd" ? la::SimdBackendName() : "scalar";
-  m.shard_backend = args.GetShardBackend("inproc");
+  m.runtime = core::RuntimeOptionsFromFlags(args, default_batch_rows);
+  m.kernel_backend = m.runtime.kernels == la::KernelMode::kSimd
+                         ? la::SimdBackendName()
+                         : "scalar";
   m.cpu_features = la::CpuFeatures();
   m.buffer_pages = args.GetBufferPages(8192);
   m.seed = static_cast<uint64_t>(args.GetInt("seed", 42));
@@ -39,23 +35,46 @@ RunManifest RunManifest::FromArgs(const std::string& binary,
 }
 
 std::string RunManifest::ToJson() const {
+  const core::RuntimeOptions& o = runtime;
   std::ostringstream os;
-  os << "{\"binary\": \"" << JsonEscape(binary) << "\""
-     << ", \"git_describe\": \"" << JsonEscape(git_describe) << "\""
-     << ", \"threads\": " << threads
-     << ", \"morsel_rows\": " << morsel_rows
-     << ", \"steal\": " << (steal ? "true" : "false")
-     << ", \"shards\": " << shards
-     << ", \"shard_backend\": \"" << JsonEscape(shard_backend) << "\""
-     << ", \"prefetch\": " << (prefetch ? "true" : "false")
-     << ", \"prefetch_depth\": " << prefetch_depth
-     << ", \"kernels\": \"" << JsonEscape(kernels) << "\""
-     << ", \"kernel_backend\": \"" << JsonEscape(kernel_backend) << "\""
-     << ", \"cpu_features\": \"" << JsonEscape(cpu_features) << "\""
-     << ", \"buffer_pages\": " << buffer_pages << ", \"seed\": " << seed
-     << ", \"schema\": \"" << JsonEscape(schema) << "\""
-     << ", \"trace\": \"" << JsonEscape(trace_path) << "\""
-     << ", \"trace_buffer_kb\": " << trace_buffer_kb << "}";
+  const char* sep = "{";
+  const auto num = [&](const char* key, auto value) {
+    os << sep << "\"" << key << "\": " << value;
+    sep = ", ";
+  };
+  const auto text = [&](const char* key, const std::string& value) {
+    os << sep << "\"" << key << "\": \"" << JsonEscape(value) << "\"";
+    sep = ", ";
+  };
+  const auto flag = [&](const char* key, bool value) {
+    num(key, value ? "true" : "false");
+  };
+  text("binary", binary);
+  text("git_describe", git_describe);
+  num("batch_rows", o.batch_rows);
+  text("temp_dir", o.temp_dir);
+  num("threads", o.threads);
+  num("morsel_rows", o.morsel_rows);
+  flag("steal", o.steal);
+  flag("prefetch", o.prefetch);
+  num("prefetch_depth", o.prefetch_depth);
+  num("shards", o.shards);
+  text("kernels", la::KernelModeName(o.kernels));
+  text("shard_backend", o.shard_backend);
+  num("shard_timeout_ms", o.shard_timeout_ms);
+  text("shard_transport", o.shard_transport);
+  text("shard_worker_path", o.shard_worker_path);
+  text("delta_encoding", o.delta_encoding);
+  text("checkpoint_dir", o.checkpoint_dir);
+  num("checkpoint_every", o.checkpoint_every);
+  text("kernel_backend", kernel_backend);
+  text("cpu_features", cpu_features);
+  num("buffer_pages", buffer_pages);
+  num("seed", seed);
+  text("schema", schema);
+  text("trace", trace_path);
+  num("trace_buffer_kb", trace_buffer_kb);
+  os << "}";
   return os.str();
 }
 

@@ -6,6 +6,7 @@
 
 #include "common/flags.h"
 #include "common/status.h"
+#include "core/runtime_options.h"
 
 namespace factorml::obs {
 
@@ -17,14 +18,7 @@ namespace factorml::obs {
 struct RunManifest {
   std::string binary;        // "factorml_cli train-gmm", "fig3_gmm_binary"
   std::string git_describe;  // compiled-in `git describe` of the build
-  int threads = 1;
-  int64_t morsel_rows = 0;
-  bool steal = false;
-  int shards = 1;
-  std::string shard_backend = "inproc";  // --shard-backend flag value
-  bool prefetch = false;
-  int prefetch_depth = 2;
-  std::string kernels = "scalar";    // --kernels flag value
+  core::RuntimeOptions runtime;      // every runtime knob, resolved
   std::string kernel_backend;        // table simd resolves to ("avx2", ...)
   std::string cpu_features;          // detected ISA, e.g. "x86-64 avx2 fma"
   int64_t buffer_pages = 0;
@@ -33,11 +27,13 @@ struct RunManifest {
   std::string trace_path;
   int64_t trace_buffer_kb = 0;
 
-  /// Captures the shared runtime flags (threads/morsel-rows/steal/shards/
-  /// prefetch/buffer-pages/seed/trace) through the same validating getters
-  /// the binaries use, plus the compiled-in git describe.
-  static RunManifest FromArgs(const std::string& binary,
-                              const ArgParser& args);
+  /// Captures the runtime flags through core::RuntimeOptionsFromFlags (the
+  /// getters the train-* commands use; --batch defaults to
+  /// `default_batch_rows`, the family's own), plus buffer-pages, seed,
+  /// trace and the compiled-in git describe.
+  static RunManifest FromArgs(
+      const std::string& binary, const ArgParser& args,
+      size_t default_batch_rows = core::RuntimeOptions().batch_rows);
 
   /// One JSON object; keys are fixed, values resolved (never the raw flag
   /// strings).

@@ -200,7 +200,7 @@ TEST(TracerTest, TrainedTraceParsesCoversSpansAndNests) {
 
   obs::RunManifest manifest;
   manifest.binary = "obs_test";
-  manifest.threads = opt.threads;
+  manifest.runtime = opt;
   const std::string path = dir.str() + "/trace.json";
   FML_ASSERT_OK(obs::Tracer::Instance().WriteJson(path, manifest.ToJson()));
 
@@ -346,24 +346,43 @@ TEST(MetricsTest, TrainingPopulatesReportMetrics) {
 TEST(ManifestTest, FromArgsResolvesAndRoundTrips) {
   TempDir dir;
   const std::string trace_arg = "--trace=" + dir.str() + "/t.json";
-  const char* argv[] = {"prog",          trace_arg.c_str(), "--threads=4",
-                        "--steal=on",    "--shards=3",      "--seed=7",
-                        "--morsel-rows=200"};
-  ArgParser args(7, const_cast<char**>(argv));
+  const std::string ckpt_arg = "--checkpoint-dir=" + dir.str();
+  const char* argv[] = {"prog",
+                        trace_arg.c_str(),
+                        "--threads=4",
+                        "--steal=on",
+                        "--shards=3",
+                        "--seed=7",
+                        "--morsel-rows=200",
+                        "--batch=512",
+                        "--shard-transport=tcp",
+                        "--delta-encoding=sparse",
+                        ckpt_arg.c_str(),
+                        "--checkpoint-every=2"};
+  ArgParser args(12, const_cast<char**>(argv));
   const obs::RunManifest m = obs::RunManifest::FromArgs("obs_test", args);
   EXPECT_EQ(m.binary, "obs_test");
-  EXPECT_EQ(m.threads, 4);
-  EXPECT_TRUE(m.steal);
-  EXPECT_EQ(m.shards, 3);
-  EXPECT_EQ(m.morsel_rows, 200);
+  EXPECT_EQ(m.runtime.threads, 4);
+  EXPECT_TRUE(m.runtime.steal);
+  EXPECT_EQ(m.runtime.shards, 3);
+  EXPECT_EQ(m.runtime.morsel_rows, 200);
+  EXPECT_EQ(m.runtime.batch_rows, 512u);
   EXPECT_EQ(m.seed, 7u);
   EXPECT_FALSE(m.git_describe.empty());
 
+  // Every runtime knob is written, not only the ones a manifest used to
+  // re-declare.
   const std::string json = m.ToJson();
-  for (const char* key :
-       {"\"binary\"", "\"git_describe\"", "\"threads\": 4",
+  for (const std::string& key : std::vector<std::string>{
+           "\"binary\"", "\"git_describe\"", "\"threads\": 4",
         "\"steal\": true", "\"shards\": 3", "\"morsel_rows\": 200",
-        "\"seed\": 7", "\"trace\":", "\"trace_buffer_kb\":"}) {
+        "\"batch_rows\": 512", "\"shard_transport\": \"tcp\"",
+        "\"delta_encoding\": \"sparse\"",
+        "\"checkpoint_dir\": \"" + dir.str() + "\"",
+        "\"checkpoint_every\": 2", "\"kernels\": \"scalar\"",
+        "\"shard_backend\": \"inproc\"", "\"shard_timeout_ms\":",
+        "\"prefetch\": false", "\"seed\": 7", "\"trace\":",
+        "\"trace_buffer_kb\":"}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
 

@@ -902,6 +902,80 @@ TEST(LogregTest, RequiresTargetAndValidOptions) {
   }
 }
 
+// `rel` with every S target cell y of row r replaced by relabel(r, y): the
+// same attribute tables, a rewritten S table at `s_path`.
+template <typename Relabel>
+join::NormalizedRelations WithTargets(const join::NormalizedRelations& rel,
+                                      Relabel relabel,
+                                      const std::string& s_path,
+                                      BufferPool* pool) {
+  storage::RowBatch rows;
+  FML_CHECK(rel.s.ReadRows(pool, 0, static_cast<size_t>(rel.s.num_rows()),
+                           &rows)
+                .ok());
+  auto s = std::move(storage::Table::Create(s_path, rel.s.schema())).value();
+  for (size_t r = 0; r < rows.num_rows; ++r) {
+    rows.feats(r, 0) = relabel(r, rows.feats(r, 0));
+    FML_CHECK(s.Append(rows.KeysOf(r), rows.feats.Row(r).data()).ok());
+  }
+  FML_CHECK(s.Finish().ok());
+  std::vector<storage::Table> attrs;
+  for (const auto& a : rel.attrs) {
+    attrs.push_back(std::move(storage::Table::Open(a.path())).value());
+  }
+  join::NormalizedRelations out(std::move(s), std::move(attrs), true);
+  FML_CHECK(out.BuildIndex(pool).ok());
+  return out;
+}
+
+TEST(LinearFamiliesTest, NonFiniteTargetIsOutOfRange) {
+  // A nan or inf target cell used to end linreg with objective=nan and
+  // logreg with a misleading Cholesky failure. Both now stop before the
+  // solve with OutOfRange naming the family, the iteration and the pass,
+  // on every strategy and kernel plane.
+  TempDir dir;
+  BufferPool pool(512);
+  auto base =
+      std::move(GenerateSynthetic(Spec(dir.str(), true), &pool)).value();
+  for (const double bad : {NAN, INFINITY}) {
+    auto rel = WithTargets(
+        base, [&](size_t r, double y) { return r == 17 ? bad : y; },
+        dir.str() + "/s_bad.fml", &pool);
+    for (const auto kernels :
+         {la::KernelMode::kScalar, la::KernelMode::kSimd}) {
+      for (const auto algo : kAll) {
+        const std::string tag = std::string(core::AlgorithmName(algo)) +
+                                " target=" + std::to_string(bad) + " " +
+                                la::KernelModeName(kernels);
+        linreg::LinregOptions lopt;
+        lopt.temp_dir = dir.str();
+        lopt.kernels = kernels;
+        pool.Clear();
+        auto lm = core::TrainLinreg(rel, lopt, algo, &pool, nullptr);
+        ASSERT_FALSE(lm.ok()) << tag;
+        EXPECT_EQ(lm.status().code(), StatusCode::kOutOfRange) << tag;
+        EXPECT_EQ(lm.status().message(),
+                  "LINREG: normal equations are not finite after iteration "
+                  "1 of 1 (gram pass; check the data for nan/inf cells)")
+            << tag;
+
+        logreg::LogregOptions gopt;
+        gopt.temp_dir = dir.str();
+        gopt.kernels = kernels;
+        gopt.max_iters = 3;
+        pool.Clear();
+        auto gm = core::TrainLogreg(rel, gopt, algo, &pool, nullptr);
+        ASSERT_FALSE(gm.ok()) << tag;
+        EXPECT_EQ(gm.status().code(), StatusCode::kOutOfRange) << tag;
+        EXPECT_EQ(gm.status().message(),
+                  "LOGREG: normal equations are not finite after iteration "
+                  "1 of 3 (irls pass; check the data for nan/inf cells)")
+            << tag;
+      }
+    }
+  }
+}
+
 TEST(GmmTest, RejectsInvalidOptions) {
   // Out-of-range hyperparameters are InvalidArgument before any pass runs,
   // on every strategy: no component count the S rows cannot seed, and no
@@ -1377,6 +1451,59 @@ TEST_P(KernelsParityTest, GmmSimdMatchesScalarWorkStream) {
   }
 }
 
+// A `tables`-way schema (2 or 3) whose single giant FK1 run is far longer
+// than a strip, a morsel chunk and a shard span: the factorized strip
+// path's run reductions must be clipped at every one of those boundaries.
+// The third table adds the per-tuple R2 x R3 cross block.
+data::SyntheticSpec MultiwayGiantRunSpec(const std::string& dir,
+                                         size_t tables) {
+  auto spec = Spec(dir, true);
+  spec.name = "mw" + std::to_string(tables);
+  spec.attrs.push_back(data::AttributeSpec{7, 4});
+  if (tables > 2) spec.attrs.push_back(data::AttributeSpec{5, 2});
+  spec.run_dist = data::RunDist::kSingleGiant;
+  return spec;
+}
+
+TEST_P(KernelsParityTest, LinregMultiwayGiantRunSimdMatchesScalar) {
+  const auto [threads, shards] = GetParam();
+  TempDir dir;
+  BufferPool pool(512);
+  for (const size_t tables : {2, 3}) {
+    auto rel = std::move(GenerateSynthetic(
+                             MultiwayGiantRunSpec(dir.str(), tables), &pool))
+                   .value();
+    linreg::LinregOptions opt;
+    opt.batch_rows = 256;
+    opt.morsel_rows = 200;
+    opt.temp_dir = dir.str();
+    opt.threads = threads;
+    opt.shards = shards;
+    opt.kernels = la::KernelMode::kScalar;
+    pool.Clear();
+    core::TrainReport scalar_report;
+    auto scalar = core::TrainLinreg(rel, opt, core::Algorithm::kFactorized,
+                                    &pool, &scalar_report);
+    ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
+    opt.kernels = la::KernelMode::kSimd;
+    pool.Clear();
+    core::TrainReport simd_report;
+    auto simd = core::TrainLinreg(rel, opt, core::Algorithm::kFactorized,
+                                  &pool, &simd_report);
+    ASSERT_TRUE(simd.ok()) << simd.status().ToString();
+    const std::string tag = std::to_string(tables) + "-way F threads=" +
+                            std::to_string(threads) +
+                            " shards=" + std::to_string(shards);
+    ExpectSameWorkStream(simd_report, scalar_report, tag);
+    EXPECT_NEAR(simd_report.final_objective, scalar_report.final_objective,
+                1e-9 * std::fabs(scalar_report.final_objective) + 1e-12)
+        << tag;
+    EXPECT_LT(linreg::LinregModel::MaxAbsDiff(scalar.value(), simd.value()),
+              1e-8)
+        << tag;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Schedules, KernelsParityTest,
                          ::testing::Combine(::testing::Values(1, 4),
                                             ::testing::Values(1, 2)));
@@ -1435,6 +1562,59 @@ TEST(KernelsModelParityTest, KmeansAndLogregSimdMatchScalar) {
                                               gsimd.value()),
               1e-8)
         << core::AlgorithmName(algo);
+  }
+}
+
+TEST(KernelsModelParityTest, LogregMultiwayGiantRunSimdMatchesScalar) {
+  // Four IRLS iterations over the giant-run schemas: the strip
+  // path's weights feed back through every solve, so a misplaced run
+  // mass or cross block would compound past tolerance. The label is the
+  // sign of the generator's real-valued target: on the raw target IRLS
+  // diverges (|beta| ~ 1e6 by iteration 4 on the two-way schema), and the
+  // coefficient distance then measures that divergence, not the kernels.
+  TempDir dir;
+  BufferPool pool(512);
+  for (const size_t tables : {2, 3}) {
+    auto rel = WithTargets(
+        std::move(GenerateSynthetic(MultiwayGiantRunSpec(dir.str(), tables),
+                                    &pool))
+            .value(),
+        [](size_t, double y) { return y > 0.0 ? 1.0 : 0.0; },
+        dir.str() + "/s_label" + std::to_string(tables) + ".fml", &pool);
+    for (const int threads : {1, 4}) {
+      for (const int shards : {1, 2}) {
+        logreg::LogregOptions opt;
+        opt.max_iters = 4;
+        opt.batch_rows = 256;
+        opt.morsel_rows = 200;
+        opt.temp_dir = dir.str();
+        opt.threads = threads;
+        opt.shards = shards;
+        opt.kernels = la::KernelMode::kScalar;
+        pool.Clear();
+        core::TrainReport scalar_report;
+        auto scalar = core::TrainLogreg(rel, opt, core::Algorithm::kFactorized,
+                                        &pool, &scalar_report);
+        ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
+        opt.kernels = la::KernelMode::kSimd;
+        pool.Clear();
+        core::TrainReport simd_report;
+        auto simd = core::TrainLogreg(rel, opt, core::Algorithm::kFactorized,
+                                      &pool, &simd_report);
+        ASSERT_TRUE(simd.ok()) << simd.status().ToString();
+        const std::string tag = std::to_string(tables) + "-way F threads=" +
+                                std::to_string(threads) +
+                                " shards=" + std::to_string(shards);
+        EXPECT_EQ(scalar_report.iterations, 4) << tag;
+        ExpectSameWorkStream(simd_report, scalar_report, tag);
+        EXPECT_NEAR(simd_report.final_objective, scalar_report.final_objective,
+                    1e-9 * std::fabs(scalar_report.final_objective) + 1e-12)
+            << tag;
+        EXPECT_LT(logreg::LogregModel::MaxAbsDiff(scalar.value(), simd.value()),
+                  1e-8)
+            << tag;
+      }
+    }
   }
 }
 

@@ -121,6 +121,12 @@ int Fail(const std::string& msg) {
 
 int FailStatus(const Status& st) { return Fail(st.ToString()); }
 
+/// A malformed flag value: exit 2, like the shared ArgParser getters.
+int FailUsage(const Status& st) {
+  Fail(st.ToString());
+  return 2;
+}
+
 /// Loads relations previously written by `generate` or `import`:
 /// <dir>/s.fml plus <dir>/r1.fml, r2.fml, ... (as many as exist).
 Result<join::NormalizedRelations> LoadRelations(const std::string& dir,
@@ -278,14 +284,14 @@ int RunTrainCommand(const ArgParser& args, const char* name, bool has_target,
                     Options opt, Train train) {
   const std::string dir = args.GetString("dir", "");
   if (dir.empty()) return Fail(std::string(name) + " requires --dir");
+  auto algos = ParseAlgos(args.GetString("algo", "all"));
+  if (!algos.ok()) return FailUsage(algos.status());
   storage::BufferPool pool(
       static_cast<size_t>(args.GetBufferPages(8192)));
   auto rel = LoadRelations(dir, has_target, &pool);
   if (!rel.ok()) return FailStatus(rel.status());
   static_cast<core::RuntimeOptions&>(opt) =
       core::RuntimeOptionsFromFlags(args, opt.batch_rows);
-  auto algos = ParseAlgos(args.GetString("algo", "all"));
-  if (!algos.ok()) return FailStatus(algos.status());
   for (const auto algo : algos.value()) {
     pool.Clear();
     core::TrainReport report;
@@ -426,8 +432,12 @@ int Main(int argc, char** argv) {
   const int rc = Dispatch(cmd, args, kUsage);
   if (!trace_path.empty()) {
     obs::Tracer::Instance().Stop();
-    const obs::RunManifest manifest =
-        obs::RunManifest::FromArgs("factorml_cli " + cmd, args);
+    // NN's --batch default is its own mini-batch size.
+    const bool nn = cmd == "train-nn" ||
+                    (cmd == "train" && args.GetString("model", "") == "nn");
+    const obs::RunManifest manifest = obs::RunManifest::FromArgs(
+        "factorml_cli " + cmd, args,
+        nn ? nn::NnOptions().batch_rows : core::RuntimeOptions().batch_rows);
     Status st = obs::Tracer::Instance().WriteJson(trace_path,
                                                   manifest.ToJson());
     if (st.ok()) st = manifest.WriteTo(trace_path + ".manifest.json");
