@@ -82,12 +82,12 @@ class LogregProgram final : public linreg::GramProgram {
   }
 
   void AccumulateDense(int, int worker, const DenseBlock& block) override {
-    const double bias = opt_.intercept ? beta_[d_] : 0.0;
     if (block.strips != nullptr) {
       StripWeigher weigh(this, block.strips->strip_rows);
       AccumulateStrips(worker, block, weigh);
       return;
     }
+    const double bias = opt_.intercept ? beta_[d_] : 0.0;
     AccumulateRows</*kWeighted=*/true>(
         worker, block,
         [&](const double* x, double y, const int64_t*, double& nll) {

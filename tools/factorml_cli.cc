@@ -27,7 +27,8 @@
 //              --no_intercept]
 //   export     --dir=D --out=F.csv [--table=s|r1|r2...]
 //
-// Every train run prints a TrainReport (wall time, page I/O, flops).
+// Every train run prints a TrainReport (wall time, page I/O, flops). An
+// unknown --algo exits 2 listing the choices, before any data is read.
 // Every train subcommand reads the same runtime flags
 // (core::RuntimeOptionsFromFlags), described below, plus `--batch=N`:
 // rows per streamed batch, default 8192 (NN: the mini-batch size,
